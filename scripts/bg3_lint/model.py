@@ -15,7 +15,10 @@ Known, documented blind spots (see DESIGN.md §5.6):
     a lambda are *not* attributed to the enclosing function, because most
     lambdas here are deferred work (thread-pool tasks, retry ops). Blocking
     executors (RetryWithBackoff, ThreadPool::Submit) are themselves
-    BG3_BLOCKING, so the discipline still holds at the dispatch site.
+    BG3_BLOCKING, so the discipline still holds at the dispatch site. The
+    one exception is a lambda passed as a Bw-tree scan visitor, which runs
+    synchronously under the callee's leaf latch: latch-discipline checks
+    its body as a held region (visitor_lambdas below).
   - calls through function pointers / std::function are invisible.
   - templates are analyzed textually, once, not per instantiation.
 """
@@ -182,6 +185,7 @@ class Function:
     annotations: dict = field(default_factory=dict)  # macro -> arg text
     body: tuple | None = None  # (start, end) token idxs into its file, or None
     is_lambda: bool = False
+    intro: int = -1  # lambdas: token idx of the capture-list '['
 
     @property
     def qname(self) -> str:
@@ -680,7 +684,8 @@ class FileModel:
                         body_close = self.close_of(j)
                         lam = Function(
                             name=f"<lambda@{t.line}>", cls=fn.cls, ns=fn.ns,
-                            file=self.path, line=t.line, is_lambda=True)
+                            file=self.path, line=t.line, is_lambda=True,
+                            intro=i)
                         lam.body = (j + 1, body_close)
                         self.functions.append(lam)
                         self._index_lambdas(lam)
@@ -783,6 +788,34 @@ class FileModel:
                 args = " ".join(x.text for x in toks[j + 1:close])
                 out.append(CallSite(name=t.text, recv=recv, args=args,
                                     line=t.line, tok=i))
+        return out
+
+    def visitor_lambdas(self, fn: Function, is_visitor_call):
+        """[(lambda, call)] for each lambda fn passes to a call for which
+        is_visitor_call(call) holds, written inline in the argument list or
+        bound to a local (`auto v = [..](..) {..};`) that is passed by name.
+        """
+        start, end = fn.body
+        lambdas = [f for f in self.functions
+                   if f.is_lambda and f.body and start < f.body[0] < end]
+        if not lambdas:
+            return []
+        out = []
+        for call in self.calls(fn):
+            if not is_visitor_call(call):
+                continue
+            open_ = call.tok + 1
+            while self.toks[open_].text != "(":
+                open_ += 1  # skip a template-argument group
+            close = self.close_of(open_)
+            arg_names = set(call.args.split())
+            for lam in lambdas:
+                i = lam.intro
+                bound = (i >= 2 and self.toks[i - 1].text == "="
+                         and self.toks[i - 2].kind == "id"
+                         and self.toks[i - 2].text in arg_names)
+                if open_ < lam.body[0] < close or bound:
+                    out.append((lam, call))
         return out
 
     # -- lock regions --------------------------------------------------------

@@ -20,6 +20,11 @@ trip, the exact head-of-line blocking the pipeline exists to remove.
 Condition-variable waits that pass the guard variable are exempt there
 (the wait releases the lock it holds).
 
+A lambda passed as a Bw-tree scan visitor (a call whose callee takes a
+ScanVisitor parameter) runs synchronously while the callee holds the leaf
+latch, so its whole body counts as a held region of LeafPage::latch even
+though the model indexes it as a separate function (DESIGN.md §5.4).
+
 A call inside a held region that resolves to a blocking function is an
 error. Accepted exceptions (e.g. the Bw-tree's paged-leaf I/O under the
 leaf latch, which is the paper's design) live in baseline.json with reasons.
@@ -42,6 +47,17 @@ WAL_PIPELINE_CLASSES = {"WalWriter", "AppendPipeline", "CommitSequencer"}
 # given, so a wait naming the region's guard variable is not "blocking
 # while holding" that latch.
 CV_WAITS = {"wait", "wait_for", "wait_until"}
+
+
+# Parameter type of a visitor scan, and the latch its visitor runs under.
+VISITOR_PARAM = "ScanVisitor"
+VISITOR_LATCH = "LeafPage::latch"
+
+
+def _is_visitor_call(index, call, fn):
+    cands = (index.resolve_callees(call, fn)
+             or index.by_name.get(call.name, []))
+    return any(VISITOR_PARAM in c.params for c in cands)
 
 
 def _annotated(index, key, macro):
@@ -97,7 +113,24 @@ def run(index, config):
 
     for path, fm in sorted(index.models.items()):
         for fn in fm.functions:
-            if fn.body is None or fn.is_lambda:
+            if fn.body is None:
+                continue
+            # 0) blocking calls inside a scan visitor (held leaf latch).
+            for lam, scan in fm.visitor_lambdas(
+                    fn, lambda c, f=fn: _is_visitor_call(index, c, f)):
+                for call in fm.calls(lam):
+                    w = _call_witness(index, call, lam, blocking)
+                    if w is None:
+                        continue
+                    findings.append(Finding(
+                        pass_name="latch-discipline", file=path,
+                        line=call.line, func=fn.qname,
+                        detail=f"under-lock:{VISITOR_LATCH}->{call.name}",
+                        message=(f"{w} inside a scan visitor passed to "
+                                 f"{scan.name}() at line {scan.line}, which "
+                                 f"runs under {VISITOR_LATCH}; a visitor "
+                                 f"must not block")))
+            if fn.is_lambda:
                 continue
             # 1) BG3_NO_BLOCKING functions that can in fact block.
             if _annotated(index, fn.key, "BG3_NO_BLOCKING"):

@@ -8,6 +8,7 @@
 class CloudStore {
  public:
   void PutBlob() BG3_BLOCKING;
+  void ReadBlob() BG3_BLOCKING;
   void Touch();  // not blocking
 };
 
@@ -134,4 +135,58 @@ class SideCar {
 void SideCar::FlushInline() {
   std::lock_guard<std::mutex> lock(mu_);
   store_->PutBlob();  // std::mutex outside the WAL pipeline: not checked
+}
+
+// Scan visitors (DESIGN.md §5.4): a lambda passed where the callee takes a
+// ScanVisitor runs synchronously under the callee's leaf latch, so blocking
+// in its body is blocking under LeafPage::latch — whether the lambda is
+// written inline or bound to a local first. Other lambdas stay deferred
+// work, checked at their dispatch site.
+class LeafTree {
+ public:
+  void Scan(const ScanOptions& options, ScanVisitor visit);
+};
+
+class TaskPool {
+ public:
+  void Submit(Task task);
+};
+
+class AdjacencyReader {
+ public:
+  void Decode();
+  void NapInVisitor();
+  void ReadInVisitor();
+  void DeferRead();
+
+ private:
+  LeafTree* tree_;
+  TaskPool* pool_;
+  CloudStore* store_;
+};
+
+void AdjacencyReader::Decode() {
+  tree_->Scan(opts_, [&](const Slice& key, const Slice& value) {
+    store_->Touch();  // non-blocking work in a visitor: fine
+    return true;
+  });
+}
+
+void AdjacencyReader::NapInVisitor() {
+  tree_->Scan(opts_, [&](const Slice& key, const Slice& value) {
+    std::this_thread::sleep_for(10);  // LINT-EXPECT: latch-discipline under-lock:LeafPage::latch->sleep_for
+    return true;
+  });
+}
+
+void AdjacencyReader::ReadInVisitor() {
+  auto visit = [&](const Slice& key, const Slice& value) {
+    store_->ReadBlob();  // LINT-EXPECT: latch-discipline under-lock:LeafPage::latch->ReadBlob
+    return true;
+  };
+  tree_->Scan(opts_, visit);
+}
+
+void AdjacencyReader::DeferRead() {
+  pool_->Submit([&] { store_->ReadBlob(); });  // deferred, not a visitor: fine
 }

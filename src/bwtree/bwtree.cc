@@ -8,6 +8,25 @@
 
 namespace bg3::bwtree {
 
+namespace {
+
+// A read of an extent GC already freed: the store answers NotFound (the
+// only NotFound a page read returns; transient failures are IOError). With
+// edge TTLs GC frees an extent in place once its deadline (last append +
+// TTL) passed, so every edge of a page image that lived there, stamped no
+// later than its append, has expired and the image may be read as empty.
+// Trees holding rows without a TTL (the vertex tree) keep the option off.
+bool IsMissingExtent(const Status& s) { return s.IsNotFound(); }
+
+// One delta-chain entry that decides its key in a visitor scan, with its
+// age rank (0 = newest) so equal keys sort newest first.
+struct OverlayEntry {
+  const DeltaEntry* entry;
+  size_t rank;
+};
+
+}  // namespace
+
 BwTree::BwTree(cloud::CloudStore* store, const BwTreeOptions& options)
     : store_(store),
       opts_(options),
@@ -291,7 +310,7 @@ Status BwTree::EnsureResidentLocked(LeafPage* leaf, const OpContext* ctx) {
   if (!leaf->base_ptr.IsNull()) {
     auto base = RetryingRead(leaf->base_ptr, ctx);
     if (!base.ok()) {
-      if (opts_.tolerate_missing_extents && base.status().IsIOError()) {
+      if (opts_.tolerate_missing_extents && IsMissingExtent(base.status())) {
         leaf->base_entries.clear();
         leaf->resident = true;
         return Status::OK();
@@ -638,7 +657,7 @@ Status BwTree::LoadMergedFromStorageLocked(LeafPage* leaf,
   if (!leaf->base_ptr.IsNull()) {
     auto res = RetryingRead(leaf->base_ptr, ctx);
     if (!res.ok()) {
-      if (!(opts_.tolerate_missing_extents && res.status().IsIOError())) {
+      if (!(opts_.tolerate_missing_extents && IsMissingExtent(res.status()))) {
         return res.status();
       }
     } else {
@@ -653,7 +672,9 @@ Status BwTree::LoadMergedFromStorageLocked(LeafPage* leaf,
     if (it->ptr.IsNull()) continue;
     auto res = RetryingRead(it->ptr, ctx);
     if (!res.ok()) {
-      if (opts_.tolerate_missing_extents && res.status().IsIOError()) continue;
+      if (opts_.tolerate_missing_extents && IsMissingExtent(res.status())) {
+        continue;
+      }
       return res.status();
     }
     Slice in(res.value());
@@ -670,119 +691,129 @@ Status BwTree::LoadMergedFromStorageLocked(LeafPage* leaf,
   return Status::OK();
 }
 
-Status BwTree::MergedViewLocked(LeafPage* leaf, std::vector<Entry>* out,
-                                const OpContext* ctx) {
-  if (opts_.read_cache == ReadCacheMode::kNone) {
-    return LoadMergedFromStorageLocked(leaf, out, ctx);
-  }
-  std::vector<const std::vector<DeltaEntry>*> oldest_first;
-  for (auto it = leaf->chain.rbegin(); it != leaf->chain.rend(); ++it) {
-    oldest_first.push_back(&it->entries);
-  }
-  *out = ApplyDeltaChain(leaf->base_entries, oldest_first);
-  return Status::OK();
-}
-
-Status BwTree::CollectRangeLocked(LeafPage* leaf, const std::string& start,
-                                  const std::string& end, size_t limit,
-                                  std::vector<Entry>* out,
-                                  const OpContext* ctx) {
+Status BwTree::CollectRangeLocked(LeafPage* leaf, const Slice& start,
+                                  const Slice& end, ScanVisitor visit,
+                                  bool* done, const OpContext* ctx) {
   const bool bounded = !end.empty();
+  auto before_end = [&](const std::string& key) {
+    return !bounded || Slice(key) < end;
+  };
+  auto key_less = [](const Entry& e, const Slice& k) {
+    return Slice(e.key) < k;
+  };
+  *done = true;
   if (opts_.read_cache == ReadCacheMode::kNone) {
     // Storage-backed read: the whole page must be fetched anyway.
     std::vector<Entry> view;
     BG3_RETURN_IF_ERROR(LoadMergedFromStorageLocked(leaf, &view, ctx));
-    auto it = std::lower_bound(
-        view.begin(), view.end(), start,
-        [](const Entry& e, const std::string& k) { return e.key < k; });
-    for (; it != view.end() && out->size() < limit; ++it) {
-      if (bounded && it->key >= end) break;
-      out->push_back(std::move(*it));
+    for (auto it = std::lower_bound(view.begin(), view.end(), start, key_less);
+         it != view.end() && before_end(it->key); ++it) {
+      if (!visit(it->key, it->value)) return Status::OK();
     }
-    return Status::OK();
-  }
-  // In-memory fast path: merge-iterate the sorted base with a small overlay
-  // built from the (short) delta chain — O(limit + chain), not O(page).
-  // Read-only: the caller made the leaf resident before collecting (Scan's
-  // exclusive-reload fallback handles evicted leaves).
-  BG3_DCHECK(leaf->resident);
-  std::map<std::string, const DeltaEntry*> overlay;  // newest wins
-  for (auto cit = leaf->chain.rbegin(); cit != leaf->chain.rend(); ++cit) {
-    for (const DeltaEntry& e : cit->entries) {
-      if (e.key < start) continue;
-      if (bounded && e.key >= end) continue;
-      overlay[e.key] = &e;
-    }
-  }
-  auto bit = std::lower_bound(
-      leaf->base_entries.begin(), leaf->base_entries.end(), start,
-      [](const Entry& e, const std::string& k) { return e.key < k; });
-  auto oit = overlay.begin();
-  while (out->size() < limit) {
-    const bool base_ok = bit != leaf->base_entries.end() &&
-                         !(bounded && bit->key >= end);
-    const bool over_ok = oit != overlay.end();
-    if (!base_ok && !over_ok) break;
-    if (over_ok && (!base_ok || oit->first <= bit->key)) {
-      const bool shadows_base = base_ok && oit->first == bit->key;
-      if (oit->second->op == DeltaOp::kUpsert) {
-        out->push_back(Entry{oit->first, oit->second->value});
+  } else {
+    // In-memory fast path: merge-iterate the sorted base with the (short)
+    // delta chain in place — O(visited + chain), not O(page), and no entry
+    // is copied. The caller made the leaf resident first.
+    BG3_DCHECK(leaf->resident);
+    // Chain entries in range, newest first: chain.front() is the newest
+    // delta, and within one delta later entries are newer.
+    std::vector<OverlayEntry> overlay;
+    for (const LeafPage::Delta& d : leaf->chain) {
+      for (auto it = d.entries.rbegin(); it != d.entries.rend(); ++it) {
+        if (Slice(it->key) < start || !before_end(it->key)) continue;
+        overlay.push_back(OverlayEntry{&*it, overlay.size()});
       }
-      if (shadows_base) ++bit;
-      ++oit;
-    } else {
-      out->push_back(*bit);
-      ++bit;
+    }
+    std::sort(overlay.begin(), overlay.end(),
+              [](const OverlayEntry& a, const OverlayEntry& b) {
+                const int c = Slice(a.entry->key).compare(Slice(b.entry->key));
+                return c != 0 ? c < 0 : a.rank < b.rank;
+              });
+    // Newest entry per key wins.
+    overlay.erase(std::unique(overlay.begin(), overlay.end(),
+                              [](const OverlayEntry& a, const OverlayEntry& b) {
+                                return a.entry->key == b.entry->key;
+                              }),
+                  overlay.end());
+    const std::vector<Entry>& base = leaf->base_entries;
+    auto bit = std::lower_bound(base.begin(), base.end(), start, key_less);
+    auto oit = overlay.begin();
+    for (;;) {
+      const bool base_ok = bit != base.end() && before_end(bit->key);
+      const bool over_ok = oit != overlay.end();
+      if (!base_ok && !over_ok) break;
+      if (over_ok &&
+          (!base_ok || !(Slice(bit->key) < Slice(oit->entry->key)))) {
+        const DeltaEntry& d = *(oit++)->entry;
+        if (base_ok && d.key == bit->key) ++bit;  // the delta shadows it
+        if (d.op == DeltaOp::kUpsert && !visit(d.key, d.value)) {
+          return Status::OK();
+        }
+      } else {
+        if (!visit(bit->key, bit->value)) return Status::OK();
+        ++bit;
+      }
     }
   }
+  // The leaf is exhausted: the scan ends here unless the range continues
+  // into the next leaf.
+  *done = !leaf->has_high_key || !before_end(leaf->high_key);
   return Status::OK();
 }
 
-Status BwTree::Scan(const ScanOptions& options, std::vector<Entry>* out,
+Status BwTree::Scan(const ScanOptions& options, ScanVisitor visit,
                     const OpContext* ctx) {
   BG3_TIMED_SCOPE("bg3.bwtree.scan_ns");
   stats_.scans.Inc();
+  if (options.limit == 0) return Status::OK();
+  // Counts visits against the limit; returning false ends the scan.
+  size_t left = options.limit;
+  auto counted = [&visit, &left](const Slice& key, const Slice& value) {
+    return visit(key, value) && --left > 0;
+  };
+  const Slice end(options.end_key);
   std::string cursor = options.start_key;
-  const size_t target = options.limit == std::numeric_limits<size_t>::max()
-                            ? options.limit
-                            : out->size() + options.limit;
-  const bool bounded_end = !options.end_key.empty();
   for (;;) {
-    if (out->size() >= target) return Status::OK();
     // Per-hop deadline check: a long scan over many leaves stops at the
     // first hop past the deadline instead of finishing the range.
     BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "bwtree scan"));
+    bool done = false;
     {
-      // Shared-latch fast path: collect from a resident leaf (or via the
-      // storage images in zero-cache mode) without blocking other readers.
+      // Shared-latch fast path: visit a resident leaf (or the storage
+      // images in zero-cache mode) without blocking other readers.
       std::shared_lock<SharedMutex> lock;
       LeafPage* leaf = FindAndLatchLeafShared(cursor, &lock);
       leaf->latch.AssertReaderHeld();
       if (opts_.read_cache == ReadCacheMode::kNone || leaf->resident) {
-        BG3_RETURN_IF_ERROR(CollectRangeLocked(leaf, cursor, options.end_key,
-                                               target, out, ctx));
-        if (out->size() >= target) return Status::OK();
-        if (!leaf->has_high_key) return Status::OK();
-        if (bounded_end && leaf->high_key >= options.end_key) {
-          return Status::OK();
-        }
+        BG3_RETURN_IF_ERROR(
+            CollectRangeLocked(leaf, cursor, end, counted, &done, ctx));
+        if (done) return Status::OK();
         cursor = leaf->high_key;
         continue;
       }
     }
     // Evicted leaf: the reload mutates the page — retake exclusively,
-    // reload, then collect this hop under the exclusive latch.
+    // reload, then visit this hop under the exclusive latch.
     std::unique_lock<SharedMutex> lock;
     LeafPage* leaf = FindAndLatchLeafExclusive(cursor, &lock);
     leaf->latch.AssertHeld();
     BG3_RETURN_IF_ERROR(EnsureResidentLocked(leaf, ctx));
-    BG3_RETURN_IF_ERROR(CollectRangeLocked(leaf, cursor, options.end_key,
-                                           target, out, ctx));
-    if (out->size() >= target) return Status::OK();
-    if (!leaf->has_high_key) return Status::OK();
-    if (bounded_end && leaf->high_key >= options.end_key) return Status::OK();
+    BG3_RETURN_IF_ERROR(
+        CollectRangeLocked(leaf, cursor, end, counted, &done, ctx));
+    if (done) return Status::OK();
     cursor = leaf->high_key;
   }
+}
+
+Status BwTree::Scan(const ScanOptions& options, std::vector<Entry>* out,
+                    const OpContext* ctx) {
+  return Scan(
+      options,
+      [out](const Slice& key, const Slice& value) {
+        out->push_back(Entry{key.ToString(), value.ToString()});
+        return true;
+      },
+      ctx);
 }
 
 std::vector<PageId> BwTree::DirtyPageIds() const {

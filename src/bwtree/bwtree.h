@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bwtree/listener.h"
@@ -63,8 +64,10 @@ struct BwTreeOptions {
   bool allow_split = true;  ///< Fig. 9/10 restrict splitting for fairness.
   ReadCacheMode read_cache = ReadCacheMode::kFull;
   FlushMode flush_mode = FlushMode::kSync;
-  /// Treat reads hitting freed extents as absent data instead of IOError
-  /// (TTL workloads where whole extents expire, §3.3 Observation 2).
+  /// Treat page images in extents GC already freed (the store's NotFound)
+  /// as empty instead of failing the read: TTL workloads, where whole
+  /// extents expire in place once every record in them has (§3.3
+  /// Observation 2). Only for trees whose every entry carries the TTL.
   bool tolerate_missing_extents = false;
 
   /// Retry policy for every store append/read this tree issues (flush,
@@ -144,6 +147,33 @@ struct BwTreeStats {
   LightCounter page_evictions;
 };
 
+/// Non-owning callback of a visitor scan (BwTree::Scan): one function
+/// pointer plus one context pointer, so a scan allocates nothing to call
+/// it. `(key, value)` returns true to continue, false to stop the scan.
+/// Binds to any callable that outlives the call it is passed to (a lambda
+/// written inline in the Scan call qualifies).
+class ScanVisitor {
+ public:
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<F>, ScanVisitor> &&
+                std::is_invocable_r_v<bool, F&, const Slice&, const Slice&>>>
+  // NOLINTNEXTLINE(google-explicit-constructor): lambdas convert in place.
+  ScanVisitor(F&& fn)
+      : ctx_(const_cast<void*>(static_cast<const void*>(&fn))),
+        call_([](void* ctx, const Slice& key, const Slice& value) -> bool {
+          return (*static_cast<std::remove_reference_t<F>*>(ctx))(key, value);
+        }) {}
+
+  bool operator()(const Slice& key, const Slice& value) const {
+    return call_(ctx_, key, value);
+  }
+
+ private:
+  void* ctx_;
+  bool (*call_)(void* ctx, const Slice& key, const Slice& value);
+};
+
 /// A single Bw-tree over append-only cloud storage: BG3's unit of graph
 /// adjacency storage (§3.2). Thread-safe; per-leaf latching.
 class BwTree {
@@ -169,7 +199,18 @@ class BwTree {
     std::string end_key;            ///< exclusive; empty = to the end.
     size_t limit = std::numeric_limits<size_t>::max();
   };
-  /// Ordered range scan into `out` (appends).
+  /// Visitor scan: calls `visit(key, value)` for each live entry of
+  /// [start_key, end_key) in key order, at most `limit` times, and stops
+  /// early once `visit` returns false (still OK). The visitor runs
+  /// synchronously while the entry's leaf is latched — shared on the
+  /// resident fast path, exclusive on the evicted-leaf reload fallback — so
+  /// it must not block and must not call back into any Bw-tree (a re-entry
+  /// can self-deadlock on the held latch). The slices point into the
+  /// leaf's entries and are valid only during the call; copy what must
+  /// outlive it. DESIGN.md §5.4.
+  Status Scan(const ScanOptions& options, ScanVisitor visit,
+              const OpContext* ctx = nullptr);
+  /// Ordered range scan into `out` (appends); a visitor scan that copies.
   Status Scan(const ScanOptions& options, std::vector<Entry>* out,
               const OpContext* ctx = nullptr);
 
@@ -314,17 +355,16 @@ class BwTree {
   Status LoadMergedFromStorageLocked(LeafPage* leaf, std::vector<Entry>* out,
                                      const OpContext* ctx = nullptr)
       BG3_REQUIRES_SHARED(leaf->latch);
-  /// Merged logical content per the read cache mode (read-only).
-  Status MergedViewLocked(LeafPage* leaf, std::vector<Entry>* out,
-                          const OpContext* ctx = nullptr)
-      BG3_REQUIRES_SHARED(leaf->latch);
-  /// Appends merged entries of [start, end) up to `limit` total entries in
-  /// `out`; O(result + chain) on the in-memory path. Read-only: in full-
-  /// cache mode the caller must have made the leaf resident first (Scan's
-  /// exclusive-reload fallback does this on a cache miss).
-  Status CollectRangeLocked(LeafPage* leaf, const std::string& start,
-                            const std::string& end, size_t limit,
-                            std::vector<Entry>* out,
+  /// Visits the live entries of [start, end) (empty end = unbounded) on
+  /// one latched leaf in key order, merging the sorted base with the delta
+  /// chain in place — O(visited + chain), no entry copies — or, in zero-
+  /// cache mode, the page reassembled from its storage images. Sets
+  /// `*done` when `visit` returned false or the range ends on this leaf.
+  /// Read-only: in full-cache mode the caller must have made the leaf
+  /// resident first (Scan's exclusive-reload fallback does this on a cache
+  /// miss).
+  Status CollectRangeLocked(LeafPage* leaf, const Slice& start,
+                            const Slice& end, ScanVisitor visit, bool* done,
                             const OpContext* ctx = nullptr)
       BG3_REQUIRES_SHARED(leaf->latch);
 

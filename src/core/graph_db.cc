@@ -72,7 +72,9 @@ GraphDB::GraphDB(cloud::CloudStore* store, const GraphDBOptions& options)
   vertex_opts.consolidate_threshold =
       opts_.forest.tree_options.consolidate_threshold;
   vertex_opts.flush_mode = opts_.forest.tree_options.flush_mode;
-  vertex_opts.tolerate_missing_extents = opts_.edge_ttl_us != 0;
+  // Vertex rows have no TTL: an image in a freed extent is lost data, so
+  // its read must fail rather than reload as empty.
+  vertex_opts.tolerate_missing_extents = false;
   vertex_opts.tick_source = &access_tick_;
   if (opts_.checkpoint.enabled) {
     // Checkpointing owns durability: writes stay in memory and the cycle's
@@ -634,12 +636,18 @@ Status GraphDB::DeleteVertex(graph::VertexId id, graph::EdgeType type,
     Status s = vertex_tree_->Delete(graph::EncodeDstKey(id), ctx);
     if (!s.ok() && !s.IsNotFound()) return s;
   }
+  // Collect the keys first: a scan visitor must not re-enter the tree.
   const uint64_t owner = graph::MakeOwnerId(id, type);
-  std::vector<bwtree::Entry> entries;
-  BG3_RETURN_IF_ERROR(forest_->ScanOwner(owner, Slice(), ~0ull, &entries,
-                                         ctx));
-  for (const bwtree::Entry& e : entries) {
-    BG3_RETURN_IF_ERROR(forest_->Delete(owner, e.key, ctx));
+  std::vector<std::string> keys;
+  BG3_RETURN_IF_ERROR(forest_->ScanOwner(
+      owner, Slice(), ~0ull,
+      [&keys](const Slice& key, const Slice&) {
+        keys.push_back(key.ToString());
+        return true;
+      },
+      ctx));
+  for (const std::string& key : keys) {
+    BG3_RETURN_IF_ERROR(forest_->Delete(owner, key, ctx));
   }
   return Status::OK();
 }
@@ -681,13 +689,13 @@ Result<std::string> GraphDB::GetEdge(graph::VertexId src, graph::EdgeType type,
                             graph::EncodeDstKey(dst), ctx);
   BG3_RETURN_IF_ERROR(value.status());
   graph::TimestampUs created_us;
-  std::string properties;
+  Slice properties;
   if (!graph::DecodeEdgeValue(Slice(value.value()), &created_us,
                               &properties)) {
     return Status::Corruption("edge value");
   }
   if (EdgeExpired(created_us)) return Status::NotFound("edge expired");
-  return properties;
+  return properties.ToString();
 }
 
 Status GraphDB::GetNeighbors(graph::VertexId src, graph::EdgeType type,
@@ -699,22 +707,31 @@ Status GraphDB::GetNeighbors(graph::VertexId src, graph::EdgeType type,
   OpLayerScope api_layer(OpLayer::kApi);
   AdmissionController::Permit permit;
   BG3_RETURN_IF_ERROR(AdmitOp(OpClass::kRead, ctx, &permit));
-  std::vector<bwtree::Entry> entries;
-  BG3_RETURN_IF_ERROR(forest_->ScanOwner(graph::MakeOwnerId(src, type),
-                                         Slice(), limit, &entries, ctx));
-  out->reserve(out->size() + entries.size());
-  for (const bwtree::Entry& e : entries) {
-    graph::VertexId dst;
-    graph::TimestampUs created_us;
-    std::string properties;
-    if (!graph::DecodeDstKey(Slice(e.key), &dst) ||
-        !graph::DecodeEdgeValue(Slice(e.value), &created_us, &properties)) {
-      return Status::Corruption("adjacency entry");
-    }
-    if (EdgeExpired(created_us)) continue;
-    out->push_back(graph::Neighbor{dst, created_us, std::move(properties)});
-  }
-  return Status::OK();
+  // Decode each entry straight from the leaf into `out` (no intermediate
+  // entry copies). `limit` counts scanned entries, expired ones included.
+  const size_t first = out->size();
+  bool corrupt = false;
+  Status s = forest_->ScanOwner(
+      graph::MakeOwnerId(src, type), Slice(), limit,
+      [&](const Slice& key, const Slice& value) {
+        graph::VertexId dst;
+        graph::TimestampUs created_us;
+        Slice properties;
+        if (!graph::DecodeDstKey(key, &dst) ||
+            !graph::DecodeEdgeValue(value, &created_us, &properties)) {
+          corrupt = true;
+          return false;
+        }
+        if (!EdgeExpired(created_us)) {
+          out->push_back(
+              graph::Neighbor{dst, created_us, properties.ToString()});
+        }
+        return true;
+      },
+      ctx);
+  if (s.ok() && corrupt) s = Status::Corruption("adjacency entry");
+  if (!s.ok()) out->resize(first);  // no partial result on failure
+  return s;
 }
 
 Status GraphDB::RunGcCycle() {

@@ -69,29 +69,26 @@ bwtree::BwTreeOptions BwTreeForest::MakeTreeOptions(bwtree::TreeId id,
   return o;
 }
 
-std::shared_ptr<BwTreeForest::OwnerState> BwTreeForest::GetOrCreateState(
-    OwnerId owner) {
+BwTreeForest::OwnerState* BwTreeForest::GetOrCreateState(OwnerId owner) {
   Shard& shard = *shards_[Mix64(owner) % shards_.size()];
   MutexLock lock(&shard.mu);
   auto& slot = shard.owners[owner];
-  if (!slot) slot = std::make_shared<OwnerState>();
-  return slot;
+  if (!slot) slot = std::make_unique<OwnerState>();
+  return slot.get();
 }
 
-std::shared_ptr<BwTreeForest::OwnerState> BwTreeForest::FindState(
-    OwnerId owner) const {
+BwTreeForest::OwnerState* BwTreeForest::FindState(OwnerId owner) const {
   const Shard& shard = *shards_[Mix64(owner) % shards_.size()];
   MutexLock lock(&shard.mu);
   auto it = shard.owners.find(owner);
-  return it == shard.owners.end() ? nullptr : it->second;
+  return it == shard.owners.end() ? nullptr : it->second.get();
 }
 
 Status BwTreeForest::Upsert(OwnerId owner, const Slice& sort_key,
                             const Slice& value, const OpContext* ctx) {
   BG3_TIMED_SCOPE("bg3.forest.upsert_ns");
   OpLayerScope forest_layer(OpLayer::kForest);
-  auto owned = GetOrCreateState(owner);
-  OwnerState* state = owned.get();
+  OwnerState* state = GetOrCreateState(owner);
   bool check_init_capacity = false;
   {
     MutexLock lock(&state->mu);
@@ -118,8 +115,7 @@ Status BwTreeForest::Upsert(OwnerId owner, const Slice& sort_key,
 
 Status BwTreeForest::Delete(OwnerId owner, const Slice& sort_key,
                             const OpContext* ctx) {
-  auto owned = GetOrCreateState(owner);
-  OwnerState* state = owned.get();
+  OwnerState* state = GetOrCreateState(owner);
   MutexLock lock(&state->mu);
   if (state->tree != nullptr) {
     BG3_RETURN_IF_ERROR(state->tree->Delete(sort_key, ctx));
@@ -142,9 +138,8 @@ Result<std::string> BwTreeForest::Get(OwnerId owner, const Slice& sort_key,
                                       const OpContext* ctx) {
   BG3_TIMED_SCOPE("bg3.forest.lookup_ns");
   OpLayerScope forest_layer(OpLayer::kForest);
-  auto owned = FindState(owner);
-  if (owned == nullptr) return Status::NotFound("unknown owner");
-  OwnerState* state = owned.get();
+  OwnerState* state = FindState(owner);
+  if (state == nullptr) return Status::NotFound("unknown owner");
   // Dedicated owners are read without the owner mutex: the tree pointer is
   // published once and never cleared, and the Bw-tree's own shared leaf
   // latches carry the read. This is what lets N readers of one hot owner
@@ -158,50 +153,48 @@ Result<std::string> BwTreeForest::Get(OwnerId owner, const Slice& sort_key,
 }
 
 Status BwTreeForest::ScanOwner(OwnerId owner, const Slice& start_sort_key,
-                               size_t limit, std::vector<bwtree::Entry>* out,
+                               size_t limit, bwtree::ScanVisitor visit,
                                const OpContext* ctx) {
   BG3_TIMED_SCOPE("bg3.forest.scan_ns");
   OpLayerScope forest_layer(OpLayer::kForest);
-  auto owned = FindState(owner);
-  if (owned == nullptr) return Status::OK();  // no entries yet
-  OwnerState* state = owned.get();
+  OwnerState* state = FindState(owner);
+  if (state == nullptr) return Status::OK();  // no entries yet
   // Same lock-free dedicated-owner fast path as Get.
-  if (bwtree::BwTree* tree = state->published.load(std::memory_order_acquire)) {
-    bwtree::BwTree::ScanOptions scan;
-    scan.start_key = start_sort_key.ToString();
-    scan.limit = limit;
-    return tree->Scan(scan, out, ctx);
+  bwtree::BwTree* tree = state->published.load(std::memory_order_acquire);
+  if (tree == nullptr) {
+    MutexLock lock(&state->mu);
+    tree = state->tree.get();  // a split-out may have finished meanwhile
+    if (tree == nullptr) {
+      // INIT-resident: prefix scan [owner|start, owner+1), slicing the
+      // 8-byte owner prefix off each key.
+      bwtree::BwTree::ScanOptions scan;
+      scan.start_key = MakeInitKey(owner, start_sort_key);
+      scan.end_key = owner == ~0ull ? std::string() : OwnerPrefix(owner + 1);
+      scan.limit = limit;
+      return init_tree_->Scan(
+          scan,
+          [&visit](const Slice& key, const Slice& value) {
+            return visit(Slice(key.data() + 8, key.size() - 8), value);
+          },
+          ctx);
+    }
   }
-  MutexLock lock(&state->mu);
-  if (state->tree != nullptr) {
-    bwtree::BwTree::ScanOptions scan;
-    scan.start_key = start_sort_key.ToString();
-    scan.limit = limit;
-    return state->tree->Scan(scan, out, ctx);
-  }
-  // INIT-resident: prefix scan [owner|start, owner+1) and strip the prefix.
+  // Dedicated: the tree is never destroyed while the forest lives, so it
+  // is read without the owner mutex.
   bwtree::BwTree::ScanOptions scan;
-  scan.start_key = MakeInitKey(owner, start_sort_key);
-  scan.end_key = owner == ~0ull ? std::string() : OwnerPrefix(owner + 1);
+  scan.start_key = start_sort_key.ToString();
   scan.limit = limit;
-  std::vector<bwtree::Entry> raw;
-  BG3_RETURN_IF_ERROR(init_tree_->Scan(scan, &raw, ctx));
-  out->reserve(out->size() + raw.size());
-  for (auto& e : raw) {
-    out->push_back(bwtree::Entry{e.key.substr(8), std::move(e.value)});
-  }
-  return Status::OK();
+  return tree->Scan(scan, visit, ctx);
 }
 
 size_t BwTreeForest::OwnerEntryCount(OwnerId owner) const {
-  auto state = FindState(owner);
+  const OwnerState* state = FindState(owner);
   if (state == nullptr) return 0;
   return state->count.load(std::memory_order_relaxed);
 }
 
 Status BwTreeForest::DedicateOwner(OwnerId owner) {
-  auto owned = GetOrCreateState(owner);
-  OwnerState* state = owned.get();
+  OwnerState* state = GetOrCreateState(owner);
   MutexLock lock(&state->mu);
   if (state->tree != nullptr) return Status::OK();
   return SplitOutLocked(owner, state, &stats_.split_outs);
@@ -282,7 +275,7 @@ void BwTreeForest::MaybeEvictFromInit() {
   // read without the per-owner lock; the winner is re-checked under it).
   OwnerId victim = 0;
   size_t victim_count = 0;
-  std::shared_ptr<OwnerState> victim_state;
+  OwnerState* victim_state = nullptr;
   for (const auto& shard : shards_) {
     MutexLock lock(&shard->mu);
     for (const auto& [owner, state] : shard->owners) {
@@ -294,17 +287,17 @@ void BwTreeForest::MaybeEvictFromInit() {
           state->count.load(std::memory_order_relaxed) > victim_count) {
         victim = owner;
         victim_count = state->count.load(std::memory_order_relaxed);
-        victim_state = state;
+        victim_state = state.get();
       }
     }
   }
   if (victim_state == nullptr) return;
-  OwnerState* vs = victim_state.get();
-  MutexLock lock(&vs->mu);
-  if (vs->tree != nullptr) return;  // raced with a split-out
+  MutexLock lock(&victim_state->mu);
+  if (victim_state->tree != nullptr) return;  // raced with a split-out
   // Opportunistic eviction: on failure the owner simply stays in the init
   // tree and a later cycle (or EvictToBudget) retries.
-  BG3_IGNORE_STATUS(SplitOutLocked(victim, vs, &stats_.evictions));
+  BG3_IGNORE_STATUS(
+      SplitOutLocked(victim, victim_state, &stats_.evictions));
 }
 
 size_t BwTreeForest::DedicatedTreeCount() const {
@@ -396,8 +389,7 @@ Status BwTreeForest::RestoreOwner(const OwnerRecord& rec,
   if (rec.tree_id == 0 && !pages.empty()) {
     return Status::InvalidArgument("INIT pages go through InstallInitPages");
   }
-  auto owned = GetOrCreateState(rec.owner);
-  OwnerState* state = owned.get();
+  OwnerState* state = GetOrCreateState(rec.owner);
   MutexLock lock(&state->mu);
   if (state->tree != nullptr) {
     return Status::InvalidArgument("owner already dedicated");
@@ -464,13 +456,15 @@ void BwTreeForest::CheckInvariants() const {
   // mutexes are only try-locked: the walker runs from split-out boundaries
   // where a caller may hold another owner's mutex, and it must never wait.
   for (const auto& shard : shards_) {
-    std::vector<std::shared_ptr<OwnerState>> states;
+    std::vector<OwnerState*> states;
     {
       MutexLock lock(&shard->mu);
       states.reserve(shard->owners.size());
-      for (const auto& [owner, state] : shard->owners) states.push_back(state);
+      for (const auto& [owner, state] : shard->owners) {
+        states.push_back(state.get());
+      }
     }
-    for (const auto& state : states) {
+    for (OwnerState* state : states) {
       if (!state->mu.TryLock()) continue;
       state->mu.AssertHeld();
       if (state->tree != nullptr) {

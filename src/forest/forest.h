@@ -92,12 +92,13 @@ class BwTreeForest {
   Result<std::string> Get(OwnerId owner, const Slice& sort_key,
                           const OpContext* ctx = nullptr);
 
-  /// Ordered scan of one owner's entries from `start_sort_key`; returned
-  /// entry keys are sort keys (the owner prefix is stripped for INIT-tree
-  /// residents).
+  /// Ordered visitor scan of one owner's entries from `start_sort_key`, at
+  /// most `limit` of them: `visit` sees sort keys (the owner prefix of
+  /// INIT-tree residents is sliced off, not copied) under the contract of
+  /// bwtree::BwTree::Scan — synchronous, under the leaf latch, must not
+  /// block or re-enter any tree, slices valid only during the call.
   Status ScanOwner(OwnerId owner, const Slice& start_sort_key, size_t limit,
-                   std::vector<bwtree::Entry>* out,
-                   const OpContext* ctx = nullptr);
+                   bwtree::ScanVisitor visit, const OpContext* ctx = nullptr);
 
   /// Entries currently attributed to `owner` (tracked count).
   size_t OwnerEntryCount(OwnerId owner) const;
@@ -202,14 +203,16 @@ class BwTreeForest {
     std::unique_ptr<bwtree::BwTree> tree BG3_GUARDED_BY(mu);
   };
 
+  /// Owners are never erased from a shard, so an OwnerState lives as long
+  /// as the forest and the raw pointers handed out below stay valid.
   struct Shard {
     mutable Mutex mu;
-    std::unordered_map<OwnerId, std::shared_ptr<OwnerState>> owners
+    std::unordered_map<OwnerId, std::unique_ptr<OwnerState>> owners
         BG3_GUARDED_BY(mu);
   };
 
-  std::shared_ptr<OwnerState> GetOrCreateState(OwnerId owner);
-  std::shared_ptr<OwnerState> FindState(OwnerId owner) const;
+  OwnerState* GetOrCreateState(OwnerId owner);
+  OwnerState* FindState(OwnerId owner) const;
 
   /// Moves `owner`'s INIT entries into a fresh dedicated tree. Caller holds
   /// `state->mu`.

@@ -58,10 +58,10 @@ std::string EncodeEdgeValue(TimestampUs created_us, const Slice& properties) {
 }
 
 bool DecodeEdgeValue(const Slice& value, TimestampUs* created_us,
-                     std::string* properties) {
+                     Slice* properties) {
   Slice in = value;
   if (!GetFixed64(&in, created_us)) return false;
-  properties->assign(in.data(), in.size());
+  *properties = in;
   return true;
 }
 

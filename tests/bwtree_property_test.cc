@@ -3,10 +3,13 @@
 // delta mode, consolidation threshold and leaf size.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "bwtree/bwtree.h"
 #include "cloud/cloud_store.h"
@@ -29,6 +32,53 @@ std::string ParamName(const testing::TestParamInfo<PropertyParam>& info) {
   name += "_l" + std::to_string(p.max_leaf_entries);
   name += p.flush_mode == FlushMode::kSync ? "_sync" : "_deferred";
   return name;
+}
+
+using Model = std::map<std::string, std::string>;
+using Pairs = std::vector<std::pair<std::string, std::string>>;
+
+// A random visitor-scan shape: start and end each empty a quarter of the
+// time (scan from the beginning / to the end), limit 0..40 or unlimited.
+BwTree::ScanOptions RandomScan(Random* rng, int key_space) {
+  BwTree::ScanOptions scan;
+  if (rng->Uniform(4) != 0) {
+    scan.start_key = "key" + std::to_string(rng->Uniform(key_space));
+  }
+  if (rng->Uniform(4) != 0) {
+    scan.end_key = "key" + std::to_string(rng->Uniform(key_space));
+  }
+  if (rng->Uniform(4) != 0) scan.limit = rng->Uniform(41);
+  return scan;
+}
+
+// The model's answer to `scan`, cut to `stop_after` entries.
+Pairs ModelScan(const Model& model, const BwTree::ScanOptions& scan,
+                size_t stop_after) {
+  Pairs want;
+  for (auto it = model.lower_bound(scan.start_key);
+       it != model.end() && want.size() < std::min(scan.limit, stop_after);
+       ++it) {
+    if (!scan.end_key.empty() && it->first >= scan.end_key) break;
+    want.emplace_back(it->first, it->second);
+  }
+  return want;
+}
+
+// Runs one visitor scan whose visitor stops the scan after `stop_after`
+// entries, and checks the visited entries against the model.
+void ExpectVisitMatchesModel(BwTree* tree, const Model& model,
+                             const BwTree::ScanOptions& scan,
+                             size_t stop_after) {
+  Pairs got;
+  ASSERT_TRUE(tree->Scan(scan,
+                         [&](const Slice& key, const Slice& value) {
+                           got.emplace_back(key.ToString(), value.ToString());
+                           return got.size() < stop_after;
+                         })
+                  .ok());
+  EXPECT_EQ(got, ModelScan(model, scan, stop_after))
+      << "[" << scan.start_key << ", " << scan.end_key << ") limit "
+      << scan.limit << " stop after " << stop_after;
 }
 
 class BwTreeModelTest : public testing::TestWithParam<PropertyParam> {
@@ -121,6 +171,36 @@ TEST_P(BwTreeModelTest, RangeScansMatchReferenceModel) {
   }
 }
 
+// Visitor scans against the model while upserts and deletes drive the
+// leaves through consolidation, splits and eviction (so scans take both the
+// shared-latch path and the exclusive reload fallback).
+TEST_P(BwTreeModelTest, VisitorScansMatchReferenceModel) {
+  Model model;
+  Random rng(GetParam().consolidate_threshold * 31 +
+             GetParam().max_leaf_entries);
+  for (int i = 0; i < 3000; ++i) {
+    const int action = static_cast<int>(rng.Uniform(10));
+    const std::string key = RandomKey(&rng, 300);
+    if (action < 5) {
+      const std::string value = "v" + std::to_string(i);
+      ASSERT_TRUE(tree_->Upsert(key, value).ok());
+      model[key] = value;
+    } else if (action < 7) {
+      ASSERT_TRUE(tree_->Delete(key).ok());
+      model.erase(key);
+    } else if (action < 8) {
+      (void)tree_->EvictColdPages(rng.Uniform(4));
+    } else {
+      const size_t stop_after =
+          rng.Uniform(4) == 0 ? rng.Uniform(10) + 1 : ~size_t{0};
+      ExpectVisitMatchesModel(tree_.get(), model, RandomScan(&rng, 300),
+                              stop_after);
+    }
+  }
+  ExpectVisitMatchesModel(tree_.get(), model, BwTree::ScanOptions{},
+                          ~size_t{0});
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BwTreeModelTest,
     testing::Values(
@@ -175,6 +255,41 @@ TEST_P(ZeroCacheModelTest, StorageImagesMatchMemory) {
       EXPECT_EQ(got.value(), it->second);
     }
   }
+}
+
+// Zero-cache visitor scans reassemble every leaf from its storage images.
+TEST_P(ZeroCacheModelTest, VisitorScansMatchReferenceModel) {
+  cloud::CloudStoreOptions copts;
+  copts.extent_capacity = 1 << 14;
+  cloud::CloudStore store(copts);
+  BwTreeOptions opts;
+  opts.delta_mode = GetParam().mode;
+  opts.consolidate_threshold = GetParam().consolidate_threshold;
+  opts.max_leaf_entries = GetParam().max_leaf_entries;
+  opts.read_cache = ReadCacheMode::kNone;
+  opts.base_stream = store.CreateStream("base");
+  opts.delta_stream = store.CreateStream("delta");
+  BwTree tree(&store, opts);
+
+  Model model;
+  Random rng(11);
+  for (int i = 0; i < 1500; ++i) {
+    const std::string key = "key" + std::to_string(rng.Uniform(100));
+    const int action = static_cast<int>(rng.Uniform(10));
+    if (action < 6) {
+      const std::string value = "v" + std::to_string(i);
+      ASSERT_TRUE(tree.Upsert(key, value).ok());
+      model[key] = value;
+    } else if (action < 8) {
+      ASSERT_TRUE(tree.Delete(key).ok());
+      model.erase(key);
+    } else {
+      const size_t stop_after =
+          rng.Uniform(4) == 0 ? rng.Uniform(10) + 1 : ~size_t{0};
+      ExpectVisitMatchesModel(&tree, model, RandomScan(&rng, 100), stop_after);
+    }
+  }
+  ExpectVisitMatchesModel(&tree, model, BwTree::ScanOptions{}, ~size_t{0});
 }
 
 INSTANTIATE_TEST_SUITE_P(

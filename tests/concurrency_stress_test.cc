@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,7 +23,9 @@
 #include "common/logging.h"
 #include "common/metrics_registry.h"
 #include "common/random.h"
+#include "core/graph_db.h"
 #include "forest/forest.h"
+#include "forest_scan.h"
 #include "test_seed.h"
 #include "gc/extent_usage.h"
 #include "gc/policy.h"
@@ -122,7 +125,7 @@ TEST(ForestStressTest, ConcurrentUpsertScanDeleteWithGcAndEviction) {
       const forest::OwnerId owner = 1 + (reads % (kWriters * kOwnersPerWriter));
       (void)f.forest->Get(owner, SortKey(static_cast<int>(reads % 40)));
       std::vector<bwtree::Entry> out;
-      if (!f.forest->ScanOwner(owner, "", 10, &out).ok()) {
+      if (!test::ScanOwnerEntries(f.forest.get(), owner, "", 10, &out).ok()) {
         failures.fetch_add(1);
       }
       ++reads;
@@ -151,7 +154,8 @@ TEST(ForestStressTest, ConcurrentUpsertScanDeleteWithGcAndEviction) {
     for (int o = 0; o < kOwnersPerWriter; ++o) {
       const forest::OwnerId owner = 1 + w * kOwnersPerWriter + o;
       std::vector<bwtree::Entry> out;
-      ASSERT_TRUE(f.forest->ScanOwner(owner, "", 1000, &out).ok());
+      ASSERT_TRUE(test::ScanOwnerEntries(f.forest.get(),
+                                         owner, "", 1000, &out).ok());
     }
   }
 }
@@ -322,46 +326,83 @@ TEST(BwTreeStressTest, SharedReadersVsWriterAndEvictionOnHotLeaf) {
   }
 }
 
-// Readers race the forest's structural transitions: owners being split out
-// of INIT into dedicated trees (publishing the lock-free read pointer) and
-// the forest-wide budget eviction dropping INIT/dedicated leaves mid-read.
+// Readers race the forest's structural transitions through the public read
+// path: GetNeighbors visits leaf entries in place (under the leaf latch)
+// while writers trip split-outs of INIT owners into dedicated trees
+// (publishing the lock-free read pointer), INIT-capacity evictions, leaf
+// consolidations and splits, and the main thread runs the forest-wide budget
+// eviction that drops leaves mid-read. Every result must be sorted by dst,
+// free of duplicates, and made only of edges that were inserted.
 TEST(ForestStressTest, ReadersRaceSplitOutAndBudgetEviction) {
-  forest::ForestOptions fopts;
-  fopts.split_out_threshold = 8;    // writers constantly trip split-outs
-  fopts.init_tree_capacity = 256;   // and INIT-capacity evictions
-  fopts.owner_shards = 4;
-  StressFixture f(fopts);
+  core::GraphDBOptions opts;
+  opts.forest.split_out_threshold = 8;   // writers constantly trip split-outs
+  opts.forest.init_tree_capacity = 256;  // and INIT-capacity evictions
+  opts.forest.owner_shards = 4;
+  opts.forest.tree_options.consolidate_threshold = 4;
+  opts.forest.tree_options.max_leaf_entries = 16;
+  opts.gc_policy = core::GcPolicyKind::kNone;
+  opts.memory_budget_bytes = 8 << 10;  // every RunGcCycle evicts to budget
+  cloud::CloudStoreOptions copts;
+  copts.extent_capacity = 1 << 12;
+  cloud::CloudStore store(copts);
+  cloud::ManualTimeSource clock;
+  opts.time_source = &clock;
+  core::GraphDB db(&store, opts);
 
   constexpr int kOwners = 12;
+  constexpr int kDsts = 30;
   constexpr int kWriters = 2;
   constexpr int kOpsPerWriter = 400;
+  // The one property value an edge is ever written with, so a reader can
+  // tell an inserted edge from garbage.
+  auto prop = [](graph::VertexId src, graph::VertexId dst) {
+    return "p" + std::to_string(src) + "-" + std::to_string(dst);
+  };
+  // Sorted by dst, no duplicates, every edge one that can have been written.
+  auto well_formed = [&prop](graph::VertexId src,
+                             const std::vector<graph::Neighbor>& out) {
+    for (size_t i = 0; i < out.size(); ++i) {
+      if (i > 0 && out[i].dst <= out[i - 1].dst) return false;
+      if (out[i].dst >= static_cast<graph::VertexId>(kDsts)) return false;
+      if (out[i].properties != prop(src, out[i].dst)) return false;
+    }
+    return true;
+  };
   const uint64_t seed = test::AnnouncedSeed(
       "ForestStressTest.ReadersRaceSplitOutAndBudgetEviction", 0x5EED5);
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
+  std::atomic<int> malformed{0};
+  std::vector<std::set<graph::VertexId>> written[kWriters];
   std::vector<std::thread> threads;
   for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([&f, &failures, seed, w] {
+    written[w].resize(kOwners + 1);
+    threads.emplace_back([&, w] {
       Random rng(seed ^ (0x9E3779B9u * (w + 1)));
       for (int i = 0; i < kOpsPerWriter; ++i) {
-        const forest::OwnerId owner =
-            1 + static_cast<forest::OwnerId>(rng.Uniform(kOwners));
-        const std::string key = SortKey(static_cast<int>(rng.Uniform(30)));
-        if (!f.forest->Upsert(owner, key, "v" + std::to_string(i)).ok()) {
+        const graph::VertexId src = 1 + rng.Uniform(kOwners);
+        const graph::VertexId dst = rng.Uniform(kDsts);
+        if (db.AddEdge(src, 1, dst, prop(src, dst), 0).ok()) {
+          written[w][src].insert(dst);
+        } else {
           failures.fetch_add(1);
         }
       }
     });
   }
   for (int r = 0; r < 2; ++r) {
-    threads.emplace_back([&f, &failures, &stop, r] {
+    threads.emplace_back([&, r] {
       uint64_t reads = 0;
+      std::vector<graph::Neighbor> out;
       while (!stop.load(std::memory_order_acquire)) {
-        const forest::OwnerId owner = 1 + ((reads + r) % kOwners);
-        (void)f.forest->Get(owner, SortKey(static_cast<int>(reads % 30)));
-        std::vector<bwtree::Entry> out;
-        if (!f.forest->ScanOwner(owner, "", 8, &out).ok()) {
+        const graph::VertexId src = 1 + ((reads + r) % kOwners);
+        (void)db.forest()->Get(graph::MakeOwnerId(src, 1),
+                               graph::EncodeDstKey(reads % kDsts));
+        out.clear();
+        if (!db.GetNeighbors(src, 1, reads % 2 == 0 ? 8 : 64, &out).ok()) {
           failures.fetch_add(1);
+        } else if (!well_formed(src, out)) {
+          malformed.fetch_add(1);
         }
         ++reads;
       }
@@ -370,7 +411,7 @@ TEST(ForestStressTest, ReadersRaceSplitOutAndBudgetEviction) {
 
   // Driver: forest-wide budget eviction racing the reads and split-outs.
   for (int cycle = 0; cycle < 30; ++cycle) {
-    BG3_IGNORE_STATUS(f.forest->EvictToBudget(/*budget_bytes=*/8 << 10));
+    BG3_IGNORE_STATUS(db.RunGcCycle());
     std::this_thread::yield();
   }
   for (int w = 0; w < kWriters; ++w) threads[w].join();
@@ -378,12 +419,23 @@ TEST(ForestStressTest, ReadersRaceSplitOutAndBudgetEviction) {
   for (size_t t = kWriters; t < threads.size(); ++t) threads[t].join();
 
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_GT(f.forest->stats().split_outs.Get(), 0u);
-  f.forest->CheckInvariants();
-  for (int o = 1; o <= kOwners; ++o) {
-    std::vector<bwtree::Entry> out;
-    ASSERT_TRUE(f.forest->ScanOwner(o, "", 1000, &out).ok());
+  EXPECT_EQ(malformed.load(), 0);
+  EXPECT_GT(db.Stats().split_outs, 0u);
+  db.forest()->CheckInvariants();
+  // Quiescent sweep after one more eviction: every owner's full adjacency is
+  // exactly what was written, reloaded from the flushed images.
+  ASSERT_TRUE(db.RunGcCycle().ok());
+  for (graph::VertexId src = 1; src <= kOwners; ++src) {
+    std::vector<graph::Neighbor> out;
+    ASSERT_TRUE(db.GetNeighbors(src, 1, 1000, &out).ok());
+    EXPECT_TRUE(well_formed(src, out)) << "owner " << src;
+    std::set<graph::VertexId> want = written[0][src];
+    want.insert(written[1][src].begin(), written[1][src].end());
+    std::set<graph::VertexId> got;
+    for (const graph::Neighbor& n : out) got.insert(n.dst);
+    EXPECT_EQ(got, want) << "owner " << src;
   }
+  EXPECT_GT(db.Stats().read_ops, 0u);  // evicted leaves were reloaded
 }
 
 // --- invariant-checker death tests ------------------------------------------

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "cloud/cloud_store.h"
+#include "common/random.h"
 #include "core/graph_db.h"
 
 namespace bg3::core {
@@ -247,6 +251,177 @@ TEST(GraphDBTest, MemoryBudgetEvictsDuringMaintenance) {
   std::vector<graph::Neighbor> out;
   ASSERT_TRUE(f.db->GetNeighbors(1, 1, 5000, &out).ok());
   EXPECT_EQ(out.size(), 2000u);
+}
+
+}  // namespace
+}  // namespace bg3::core
+
+namespace bg3::core {
+namespace {
+
+// Budget + TTL + GC: leaves evicted under the memory budget whose base
+// images sat in extents GC then freed at their TTL deadline (last append +
+// TTL) reload as empty — every entry of such an image had expired — so
+// GetNeighbors succeeds and returns exactly the unexpired edges.
+TEST(GraphDBTest, EvictedLeavesInExpiredExtentsReloadAsExpired) {
+  GraphDBOptions opts;
+  opts.edge_ttl_us = 1'000'000;
+  opts.memory_budget_bytes = 1;  // every cycle evicts all clean leaves
+  opts.gc_policy = GcPolicyKind::kWorkloadAware;
+  opts.gc_extents_per_cycle = 64;
+  opts.forest.tree_options.max_leaf_entries = 8;  // many flushed leaves
+  DbFixture f(opts, /*extent_capacity=*/2048);
+  f.clock.SetUs(1'000);
+  for (graph::VertexId d = 0; d < 40; ++d) {
+    ASSERT_TRUE(f.db->AddEdge(1, 1, d, std::string(32, 'o'), 0).ok());
+  }
+  // Other vertices' edges at the same time seal the extents holding
+  // vertex 1's images.
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(
+        f.db->AddEdge(2 + i % 10, 1, i, std::string(64, 'f'), 0).ok());
+  }
+  ASSERT_TRUE(f.db->RunGcCycle().ok());  // evicts; nothing has expired yet
+  EXPECT_EQ(f.db->Stats().gc_extents_expired, 0u);
+  f.clock.AdvanceUs(3'000'000);  // every edge above is now past its TTL
+  for (graph::VertexId d = 100; d < 104; ++d) {
+    ASSERT_TRUE(f.db->AddEdge(1, 1, d, "fresh", 0).ok());
+  }
+  ASSERT_TRUE(f.db->RunGcCycle().ok());  // frees expired extents in place
+  EXPECT_GT(f.db->Stats().gc_extents_expired, 0u);
+
+  std::vector<graph::Neighbor> out;
+  const Status s = f.db->GetNeighbors(1, 1, 1000, &out);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(out.size(), 4u);
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].dst, 100 + i);
+    EXPECT_EQ(out[i].properties, "fresh");
+  }
+  for (graph::VertexId src = 2; src < 12; ++src) {
+    out.clear();
+    ASSERT_TRUE(f.db->GetNeighbors(src, 1, 1000, &out).ok());
+    EXPECT_TRUE(out.empty()) << "vertex " << src;
+  }
+}
+
+// The same budget + TTL + GC sequence must not silently lose vertex rows:
+// they have no TTL, yet their images share the streams whose extents expire
+// in place. An evicted vertex leaf whose image GC freed fails its reads with
+// the store's missing-extent error, never the answer for an absent row, and
+// later writes into that leaf (enough to consolidate it) must not turn the
+// lost rows into absent ones by building an image without them.
+TEST(GraphDBTest, EvictedVertexRowsInExpiredExtentsAreNotSilentlyLost) {
+  GraphDBOptions opts;
+  opts.edge_ttl_us = 1'000'000;
+  opts.memory_budget_bytes = 1;  // every cycle evicts all clean leaves
+  opts.gc_policy = GcPolicyKind::kWorkloadAware;
+  opts.gc_extents_per_cycle = 64;
+  opts.vertex_tree_max_leaf_entries = 8;
+  DbFixture f(opts, /*extent_capacity=*/2048);
+  const std::string absent =
+      DbFixture().db->GetVertex(1).status().ToString();
+  f.clock.SetUs(1'000);
+  constexpr graph::VertexId kVertices = 40;
+  auto props = [](graph::VertexId v) {
+    return "vertex-" + std::to_string(v) + std::string(24, 'v');
+  };
+  for (graph::VertexId v = 0; v < kVertices; ++v) {
+    ASSERT_TRUE(f.db->AddVertex(v, props(v)).ok());
+  }
+  for (int i = 0; i < 60; ++i) {  // seal the extents holding the vertices
+    ASSERT_TRUE(
+        f.db->AddEdge(100 + i % 10, 1, i, std::string(64, 'f'), 0).ok());
+  }
+  ASSERT_TRUE(f.db->RunGcCycle().ok());  // evicts; nothing has expired yet
+  f.clock.AdvanceUs(3'000'000);
+  ASSERT_TRUE(f.db->AddEdge(200, 1, 1, "fresh", 0).ok());
+  ASSERT_TRUE(f.db->RunGcCycle().ok());  // frees expired extents in place
+
+  // Every row is either intact or fails loudly.
+  std::vector<graph::VertexId> lost;
+  for (graph::VertexId v = 0; v < kVertices; ++v) {
+    auto got = f.db->GetVertex(v);
+    if (got.ok()) {
+      EXPECT_EQ(got.value(), props(v));
+    } else {
+      EXPECT_NE(got.status().ToString(), absent) << "vertex " << v;
+      lost.push_back(v);
+    }
+  }
+  ASSERT_FALSE(lost.empty());  // the sequence did reach freed images
+  // Rewrite every other lost row often enough to consolidate its leaf; the
+  // rows left alone must still fail loudly afterwards.
+  for (int round = 0; round < 12; ++round) {
+    for (size_t i = 0; i < lost.size(); i += 2) {
+      (void)f.db->AddVertex(lost[i], "rewritten");
+    }
+  }
+  for (size_t i = 1; i < lost.size(); i += 2) {
+    auto got = f.db->GetVertex(lost[i]);
+    if (got.ok()) {
+      EXPECT_EQ(got.value(), props(lost[i]));
+    } else {
+      EXPECT_NE(got.status().ToString(), absent) << "vertex " << lost[i];
+    }
+  }
+}
+
+// GetNeighbors against a model while owners split out of INIT and leaves
+// are evicted: `limit` counts scanned entries (expired ones included), then
+// expired edges are filtered — the historical semantics the in-place
+// decode keeps.
+TEST(GraphDBTest, NeighborsMatchModelWithLimitBeforeTtl) {
+  GraphDBOptions opts;
+  opts.edge_ttl_us = 1'000;
+  opts.memory_budget_bytes = 1;
+  opts.gc_policy = GcPolicyKind::kNone;
+  opts.forest.split_out_threshold = 24;
+  opts.forest.tree_options.max_leaf_entries = 16;
+  DbFixture f(opts);
+  f.clock.SetUs(10'000);
+  struct Edge {
+    graph::TimestampUs created_us;
+    std::string properties;
+  };
+  std::map<graph::VertexId, std::map<graph::VertexId, Edge>> model;
+  Random rng(0xED6E);
+  for (int i = 0; i < 3000; ++i) {
+    const graph::VertexId src = rng.Uniform(6);
+    const graph::VertexId dst = rng.Uniform(50);
+    const int action = static_cast<int>(rng.Uniform(20));
+    if (action < 11) {
+      // Half the edges are stamped already past the TTL.
+      const graph::TimestampUs created =
+          rng.Uniform(2) == 0 ? 1 + rng.Uniform(8'000) : 9'500;
+      const std::string props = "e" + std::to_string(i);
+      ASSERT_TRUE(f.db->AddEdge(src, 1, dst, props, created).ok());
+      model[src][dst] = Edge{created, props};
+    } else if (action < 14) {
+      ASSERT_TRUE(f.db->DeleteEdge(src, 1, dst).ok());
+      model[src].erase(dst);
+    } else if (action < 15) {
+      ASSERT_TRUE(f.db->RunGcCycle().ok());  // budget eviction
+    } else {
+      const size_t limit = rng.Uniform(4) == 0 ? 1000 : rng.Uniform(20);
+      std::vector<graph::Neighbor> got;
+      ASSERT_TRUE(f.db->GetNeighbors(src, 1, limit, &got).ok());
+      std::vector<graph::Neighbor> want;
+      size_t scanned = 0;
+      for (const auto& [dst, e] : model[src]) {
+        if (scanned++ == limit) break;
+        if (e.created_us + opts.edge_ttl_us <= f.clock.NowUs()) continue;
+        want.push_back(graph::Neighbor{dst, e.created_us, e.properties});
+      }
+      ASSERT_EQ(got.size(), want.size()) << "src " << src << " limit " << limit;
+      for (size_t k = 0; k < got.size(); ++k) {
+        EXPECT_EQ(got[k].dst, want[k].dst);
+        EXPECT_EQ(got[k].created_us, want[k].created_us);
+        EXPECT_EQ(got[k].properties, want[k].properties);
+      }
+    }
+  }
+  EXPECT_GT(f.db->Stats().split_outs, 0u);
 }
 
 }  // namespace

@@ -6,10 +6,14 @@
 
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cloud/cloud_store.h"
 #include "common/random.h"
 #include "forest/forest.h"
+#include "forest_scan.h"
 
 namespace bg3::forest {
 namespace {
@@ -77,7 +81,8 @@ TEST_P(ForestModelTest, RandomOpsMatchReferenceModel) {
   // Final sweep: per-owner scans match the model exactly.
   for (const auto& [owner, entries] : model) {
     std::vector<bwtree::Entry> out;
-    ASSERT_TRUE(forest_->ScanOwner(owner, "", 1u << 20, &out).ok());
+    ASSERT_TRUE(test::ScanOwnerEntries(forest_.get(),
+                                       owner, "", 1u << 20, &out).ok());
     ASSERT_EQ(out.size(), entries.size()) << "owner " << owner;
     auto mit = entries.begin();
     for (const bwtree::Entry& e : out) {
@@ -107,6 +112,53 @@ TEST_P(ForestModelTest, MidStreamDedicationIsTransparent) {
   for (const auto& [owner, entries] : model) {
     for (const auto& [key, value] : entries) {
       EXPECT_EQ(forest_->Get(owner, key).value(), value);
+    }
+  }
+}
+
+// Visitor scans of one owner from a random (often non-empty) start sort
+// key with a random limit, against the model, while owners move from INIT
+// into dedicated trees and the budget evicts leaves under the scans.
+TEST_P(ForestModelTest, VisitorScansMatchReferenceModel) {
+  std::map<OwnerId, std::map<std::string, std::string>> model;
+  Random rng(GetParam().split_out_threshold * 13 +
+             GetParam().init_tree_capacity + 5);
+  for (int i = 0; i < 4000; ++i) {
+    const OwnerId owner = rng.Uniform(30);
+    const std::string key = "s" + std::to_string(rng.Uniform(60));
+    const int action = static_cast<int>(rng.Uniform(20));
+    if (action < 11) {
+      const std::string value = "v" + std::to_string(i);
+      ASSERT_TRUE(forest_->Upsert(owner, key, value).ok());
+      model[owner][key] = value;
+    } else if (action < 15) {
+      ASSERT_TRUE(forest_->Delete(owner, key).ok());
+      model[owner].erase(key);
+    } else if (action < 16) {
+      BG3_IGNORE_STATUS(forest_->EvictToBudget(rng.Uniform(2048)));
+    } else {
+      const std::string start =
+          rng.Uniform(3) == 0 ? std::string()
+                              : "s" + std::to_string(rng.Uniform(60));
+      const size_t limit = rng.Uniform(4) == 0 ? ~size_t{0} : rng.Uniform(25);
+      std::vector<std::pair<std::string, std::string>> got;
+      ASSERT_TRUE(forest_
+                      ->ScanOwner(owner, start, limit,
+                                  [&got](const Slice& k, const Slice& v) {
+                                    got.emplace_back(k.ToString(),
+                                                     v.ToString());
+                                    return true;
+                                  })
+                      .ok());
+      std::vector<std::pair<std::string, std::string>> want;
+      const auto& entries = model[owner];
+      for (auto it = entries.lower_bound(start);
+           it != entries.end() && want.size() < limit; ++it) {
+        want.emplace_back(it->first, it->second);
+      }
+      ASSERT_EQ(got, want) << "owner " << owner << " from '" << start
+                           << "' limit " << limit << " dedicated "
+                           << (forest_->DedicatedTreeCount() > 0);
     }
   }
 }

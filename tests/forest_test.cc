@@ -7,6 +7,7 @@
 
 #include "cloud/cloud_store.h"
 #include "forest/forest.h"
+#include "forest_scan.h"
 
 namespace bg3::forest {
 namespace {
@@ -102,7 +103,7 @@ TEST(ForestTest, HotOwnerSplitsOutBeyondThreshold) {
     EXPECT_EQ(f.forest->Get(7, SortKey(i)).value(), "v" + std::to_string(i));
   }
   std::vector<bwtree::Entry> out;
-  ASSERT_TRUE(f.forest->ScanOwner(7, "", 1000, &out).ok());
+  ASSERT_TRUE(test::ScanOwnerEntries(f.forest.get(), 7, "", 1000, &out).ok());
   EXPECT_EQ(out.size(), 25u);
   // INIT tree no longer holds the owner's entries.
   EXPECT_EQ(f.forest->InitEntryCount(), 0u);
@@ -136,7 +137,7 @@ TEST(ForestTest, InitCapacityEvictsLargestOwner) {
   EXPECT_GE(f.forest->stats().evictions.Get(), 1u);
   // The heavy owner was the eviction victim.
   std::vector<bwtree::Entry> out;
-  ASSERT_TRUE(f.forest->ScanOwner(3, "", 1000, &out).ok());
+  ASSERT_TRUE(test::ScanOwnerEntries(f.forest.get(), 3, "", 1000, &out).ok());
   EXPECT_EQ(out.size(), 30u);
 }
 
@@ -151,7 +152,7 @@ TEST(ForestTest, DedicatedTreeUsesShortKeys) {
     ASSERT_TRUE(f.forest->Upsert(42, SortKey(i), "v").ok());
   }
   std::vector<bwtree::Entry> out;
-  ASSERT_TRUE(f.forest->ScanOwner(42, "", 100, &out).ok());
+  ASSERT_TRUE(test::ScanOwnerEntries(f.forest.get(), 42, "", 100, &out).ok());
   ASSERT_EQ(out.size(), 20u);
   for (int i = 0; i < 20; ++i) EXPECT_EQ(out[i].key, SortKey(i));
 }
@@ -162,7 +163,8 @@ TEST(ForestTest, ScanOwnerRespectsStartAndLimit) {
     ASSERT_TRUE(f.forest->Upsert(1, SortKey(i), "v").ok());
   }
   std::vector<bwtree::Entry> out;
-  ASSERT_TRUE(f.forest->ScanOwner(1, SortKey(10), 5, &out).ok());
+  ASSERT_TRUE(test::ScanOwnerEntries(f.forest.get(),
+                                     1, SortKey(10), 5, &out).ok());
   ASSERT_EQ(out.size(), 5u);
   EXPECT_EQ(out.front().key, SortKey(10));
   EXPECT_EQ(out.back().key, SortKey(14));
@@ -174,7 +176,7 @@ TEST(ForestTest, ScanDoesNotLeakNeighborOwners) {
   ASSERT_TRUE(f.forest->Upsert(2, "b", "v2").ok());
   ASSERT_TRUE(f.forest->Upsert(3, "c", "v3").ok());
   std::vector<bwtree::Entry> out;
-  ASSERT_TRUE(f.forest->ScanOwner(2, "", 100, &out).ok());
+  ASSERT_TRUE(test::ScanOwnerEntries(f.forest.get(), 2, "", 100, &out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].key, "b");
 }
@@ -185,7 +187,8 @@ TEST(ForestTest, MaxOwnerIdBoundary) {
   ASSERT_TRUE(f.forest->Upsert(max_owner, "k", "v").ok());
   EXPECT_EQ(f.forest->Get(max_owner, "k").value(), "v");
   std::vector<bwtree::Entry> out;
-  ASSERT_TRUE(f.forest->ScanOwner(max_owner, "", 10, &out).ok());
+  ASSERT_TRUE(test::ScanOwnerEntries(f.forest.get(),
+                                     max_owner, "", 10, &out).ok());
   EXPECT_EQ(out.size(), 1u);
 }
 
@@ -236,7 +239,7 @@ TEST(ForestTest, ConcurrentOwnersDoNotInterfere) {
   for (int t = 0; t < 8; ++t) {
     EXPECT_EQ(f.forest->OwnerEntryCount(t), 200u);
     std::vector<bwtree::Entry> out;
-    ASSERT_TRUE(f.forest->ScanOwner(t, "", 1000, &out).ok());
+    ASSERT_TRUE(test::ScanOwnerEntries(f.forest.get(), t, "", 1000, &out).ok());
     ASSERT_EQ(out.size(), 200u) << "owner " << t;
     for (const auto& e : out) EXPECT_EQ(e.value, std::to_string(t));
   }
@@ -279,7 +282,7 @@ TEST(ForestTest, DedicateOwnerForcesSplitOutAndIsIdempotent) {
   ASSERT_TRUE(f.forest->DedicateOwner(5).ok());  // idempotent
   EXPECT_EQ(f.forest->DedicatedTreeCount(), 1u);
   std::vector<bwtree::Entry> out;
-  ASSERT_TRUE(f.forest->ScanOwner(5, "", 100, &out).ok());
+  ASSERT_TRUE(test::ScanOwnerEntries(f.forest.get(), 5, "", 100, &out).ok());
   EXPECT_EQ(out.size(), 10u);
 }
 
