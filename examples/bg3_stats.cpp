@@ -114,9 +114,9 @@ int main() {
   printf("background reports emitted: %llu\n",
          (unsigned long long)background_reports);
 
-  // Full registry dump — every BG3_TIMED_SCOPE histogram, the CloudStore's
-  // I/O counters (bg3.cloud.store0.*), and this DB's forest/GC callbacks
-  // (bg3.db0.*) appear here.
+  // Full registry dump — every BG3_SCOPE histogram (`<scope name>_ns`), the
+  // CloudStore's I/O counters (bg3.cloud.store0.*), and this DB's forest/GC
+  // callbacks (bg3.db0.*) appear here.
   printf("\n--- metrics registry (JSON) ---\n%s\n", db.DumpMetrics().c_str());
 
   printf("--- metrics registry (Prometheus text) ---\n%s",

@@ -4,7 +4,7 @@
 
 #include "common/logging.h"
 #include "common/thread_annotations.h"
-#include "common/timed_scope.h"
+#include "common/trace.h"
 
 namespace bg3::bwtree {
 
@@ -190,7 +190,7 @@ Status BwTree::Delete(const Slice& key, const OpContext* ctx) {
 }
 
 Status BwTree::Write(DeltaEntry entry, const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.bwtree.write_ns");
+  BG3_SCOPE("bg3.bwtree.write", OpLayer::kBwtree);
   BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "bwtree write"));
   std::unique_lock<SharedMutex> lock;
   LeafPage* leaf = FindAndLatchLeafExclusive(entry.key, &lock);
@@ -278,7 +278,7 @@ Result<cloud::PagePointer> BwTree::RetryingAppend(cloud::StreamId stream,
                                                   const OpContext* ctx) {
   // Every cloud append the tree issues funnels through here; bill it to
   // the bwtree layer in the request's account.
-  OpLayerScope layer(OpLayer::kBwtree);
+  obs::Scope layer(OpLayer::kBwtree);
   RetryOptions retry = opts_.retry;
   retry.retries = &store_->stats().retries;
   retry.retry_exhausted = &store_->stats().retry_exhausted;
@@ -290,7 +290,7 @@ Result<cloud::PagePointer> BwTree::RetryingAppend(cloud::StreamId stream,
 
 Result<std::string> BwTree::RetryingRead(const cloud::PagePointer& ptr,
                                          const OpContext* ctx) {
-  OpLayerScope layer(OpLayer::kBwtree);
+  obs::Scope layer(OpLayer::kBwtree);
   RetryOptions retry = opts_.retry;
   retry.retry_corruption = true;  // wire corruption is transient
   retry.retries = &store_->stats().retries;
@@ -429,7 +429,7 @@ size_t BwTree::EvictPage(PageId id) {
 }
 
 Status BwTree::ConsolidateLocked(LeafPage* leaf, const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.bwtree.consolidate_ns");
+  BG3_SCOPE("bg3.bwtree.consolidate", OpLayer::kBwtree);
   BG3_RETURN_IF_ERROR(EnsureResidentLocked(leaf, ctx));
   stats_.consolidations.Inc();
   // Invalidate the storage images being superseded.
@@ -465,7 +465,7 @@ Status BwTree::MaybeSplitLocked(LeafPage* leaf, const OpContext* ctx) {
     if (chain_entries <= opts_.max_leaf_entries) return Status::OK();
   }
   BG3_RETURN_IF_ERROR(EnsureResidentLocked(leaf, ctx));
-  BG3_TIMED_SCOPE("bg3.bwtree.smo_split_ns");
+  BG3_SCOPE("bg3.bwtree.smo_split", OpLayer::kBwtree);
   stats_.splits.Inc();
   // Fold everything so we can cut the full ordered content in half.
   const cloud::PagePointer old_base = leaf->base_ptr;
@@ -591,7 +591,7 @@ void BwTree::CheckLeafInvariantsLocked(LeafPage* leaf) {
 }
 
 Result<std::string> BwTree::Get(const Slice& key, const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.bwtree.get_ns");
+  BG3_SCOPE("bg3.bwtree.get", OpLayer::kBwtree);
   stats_.gets.Inc();
   BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "bwtree get"));
 
@@ -763,7 +763,7 @@ Status BwTree::CollectRangeLocked(LeafPage* leaf, const Slice& start,
 
 Status BwTree::Scan(const ScanOptions& options, ScanVisitor visit,
                     const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.bwtree.scan_ns");
+  BG3_SCOPE("bg3.bwtree.scan", OpLayer::kBwtree);
   stats_.scans.Inc();
   if (options.limit == 0) return Status::OK();
   // Counts visits against the limit; returning false ends the scan.

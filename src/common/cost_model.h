@@ -59,7 +59,7 @@ class CostModel {
   CostModelOptions opts_;
 };
 
-/// Process-wide cost accounting: trace::OpScope folds each finished traced
+/// Process-wide cost accounting: a root obs::Scope folds each finished traced
 /// request's OpStats in here, which breaks the dollars down into
 /// `bg3.cost.*` counters in the default metrics registry (integer
 /// **nano-USD**, so they stay exact counters):

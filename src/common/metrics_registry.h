@@ -22,7 +22,7 @@ namespace bg3 {
 /// Two ways a metric gets in:
 ///  - **Owned**: `GetCounter/GetGauge/GetHistogram(name)` get-or-create a
 ///    registry-owned metric. Idempotent per name; repeated calls return the
-///    same object (the `BG3_TIMED_SCOPE` fast path caches the pointer in a
+///    same object (the `BG3_SCOPE` fast path caches the pointer in a
 ///    function-local static). Owned metrics live until ResetForTesting().
 ///  - **External**: `Register{Counter,Gauge,Histogram,Callback}` expose a
 ///    metric owned by some component instance (a CloudStore's IoStats, an

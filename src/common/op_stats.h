@@ -8,11 +8,11 @@
 namespace bg3 {
 
 /// Layer that issued a piece of I/O, for per-request attribution. The
-/// request path stamps the current layer into a thread-local (OpLayerScope)
-/// on the way down; the cloud store reads it back when it bills bytes to a
-/// request's OpStats, so a k-hop read's storage fetches show up as
-/// "bwtree", a WAL group flush as "wal", a relocation as "gc" — the
-/// breakdown the cost model reports per layer (DESIGN.md §5.8).
+/// request path stamps the current layer into a thread-local (obs::Scope,
+/// common/trace.h) on the way down; the cloud store reads it back when it
+/// bills bytes to a request's OpStats, so a k-hop read's storage fetches
+/// show up as "bwtree", a WAL group flush as "wal", a relocation as "gc" —
+/// the breakdown the cost model reports per layer (DESIGN.md §5.8).
 enum class OpLayer : uint8_t {
   kApi = 0,
   kQuery,
@@ -53,23 +53,6 @@ inline OpLayer& TlsOpLayer() {
 }  // namespace internal
 
 inline OpLayer CurrentOpLayer() { return internal::TlsOpLayer(); }
-
-/// RAII layer declaration: the innermost scope wins, so a forest op that
-/// descends into a Bw-tree bills its storage reads to "bwtree". Costs one
-/// thread-local store each way — cheap enough for every hot path.
-class OpLayerScope {
- public:
-  explicit OpLayerScope(OpLayer layer) : prev_(internal::TlsOpLayer()) {
-    internal::TlsOpLayer() = layer;
-  }
-  ~OpLayerScope() { internal::TlsOpLayer() = prev_; }
-
-  OpLayerScope(const OpLayerScope&) = delete;
-  OpLayerScope& operator=(const OpLayerScope&) = delete;
-
- private:
-  const OpLayer prev_;
-};
 
 /// Per-request I/O and scheduling account, attached to an OpContext
 /// (`ctx->stats`) and populated by every layer the request crosses: cloud

@@ -76,21 +76,18 @@ using obs::internal::g_ring_capacity;
 using obs::internal::g_slow_op_threshold_ns;
 using obs::internal::g_slow_ops;
 
-constexpr char kPhaseComplete = 'X';
-constexpr char kPhaseInstant = 'i';
-
 // ---------------------------------------------------------------------------
 // Firehose plane: per-thread lock-free rings (unchanged from the flat
 // design, still behind BG3_TRACE).
 // ---------------------------------------------------------------------------
 
-// One trace event = 4 words, each accessed as a relaxed atomic so
-// cross-thread export is race-free by construction (a wrapping writer can
-// still tear an in-flight event; see header).
+// One trace event (a complete span) = 4 words, each accessed as a relaxed
+// atomic so cross-thread export is race-free by construction (a wrapping
+// writer can still tear an in-flight event; see header).
 //   word0  name pointer (string literal)
 //   word1  start timestamp, ns
-//   word2  duration, ns (0 for instants)
-//   word3  tid | depth<<32 | phase<<48
+//   word2  duration, ns
+//   word3  tid | depth<<32
 struct Ring {
   explicit Ring(size_t capacity, uint32_t tid_in)
       : words(capacity * 4), cap(capacity), tid(tid_in) {}
@@ -100,20 +97,17 @@ struct Ring {
   const size_t cap;
   const uint32_t tid;
 
-  void Emit(const char* name, uint64_t ts_ns, uint64_t dur_ns, uint32_t depth,
-            char phase) {
+  void Emit(const char* name, uint64_t ts_ns, uint64_t dur_ns,
+            uint32_t depth) {
     const uint64_t i = pos.load(std::memory_order_relaxed);
     const size_t slot = (i % cap) * 4;
     words[slot + 0].store(reinterpret_cast<uint64_t>(name),
                           std::memory_order_relaxed);
     words[slot + 1].store(ts_ns, std::memory_order_relaxed);
     words[slot + 2].store(dur_ns, std::memory_order_relaxed);
-    words[slot + 3].store(static_cast<uint64_t>(tid) |
-                              (static_cast<uint64_t>(depth) << 32) |
-                              (static_cast<uint64_t>(
-                                   static_cast<unsigned char>(phase))
-                               << 48),
-                          std::memory_order_relaxed);
+    words[slot + 3].store(
+        static_cast<uint64_t>(tid) | (static_cast<uint64_t>(depth) << 32),
+        std::memory_order_relaxed);
     pos.store(i + 1, std::memory_order_release);
   }
 };
@@ -160,12 +154,12 @@ Ring& ThisThreadRing() {
 
 std::atomic<uint64_t> g_next_trace_id{1};
 std::atomic<uint64_t> g_next_span_id{1};
-// Traced roots currently in flight; drives obs::kReqTraceBit so TraceSpan
+// Traced roots currently in flight; drives obs::kReqTraceBit so a scope
 // stays one-flag-load cheap when no request is being traced.
 std::atomic<uint32_t> g_traced_roots{0};
 
 /// The thread's current trace identity: which trace new spans join and who
-/// their parent is. Installed by the root OpScope, propagated across
+/// their parent is. Installed by a root obs::Scope, propagated across
 /// threads with TraceBinding.
 struct Binding {
   uint64_t trace_id = 0;
@@ -383,12 +377,6 @@ uint64_t Trace::SlowOpCount() {
   return g_slow_ops.load(std::memory_order_relaxed);
 }
 
-void Trace::Instant(const char* name) {
-  if (!Enabled()) return;
-  ThisThreadRing().Emit(name, NowNanos(), 0, ThisThreadSpans().depth,
-                        kPhaseInstant);
-}
-
 void Trace::SetRingCapacityForTesting(size_t events) {
   g_ring_capacity.store(events < 16 ? 16 : events,
                         std::memory_order_relaxed);
@@ -445,18 +433,13 @@ std::string Trace::ExportChromeJson() {
       const uint64_t ts_ns = r->words[slot + 1].load(std::memory_order_relaxed);
       const uint64_t dur_ns =
           r->words[slot + 2].load(std::memory_order_relaxed);
-      const uint64_t meta = r->words[slot + 3].load(std::memory_order_relaxed);
       if (name == nullptr) continue;  // torn slot
-      const char phase = static_cast<char>((meta >> 48) & 0xff);
       w.BeginObject();
       w.KV("name", name);
       w.KV("cat", CategoryOf(name));
-      char ph[2] = {phase, 0};
-      w.KV("ph", ph);
+      w.KV("ph", "X");
       w.KV("ts", static_cast<double>(ts_ns) / 1000.0);
-      if (phase == kPhaseComplete)
-        w.KV("dur", static_cast<double>(dur_ns) / 1000.0);
-      if (phase == kPhaseInstant) w.KV("s", "t");
+      w.KV("dur", static_cast<double>(dur_ns) / 1000.0);
       w.KV("pid", 1);
       w.KV("tid", static_cast<uint64_t>(r->tid));
       w.EndObject();
@@ -545,122 +528,106 @@ std::string Trace::RenderTracez() {
   return w.TakeString();
 }
 
-void TraceSpan::Begin(const char* name) {
+}  // namespace trace
+
+namespace obs {
+
+// The per-thread state and capture helpers live in trace's anonymous
+// namespace above.
+using trace::Binding;
+using trace::SpanState;
+using trace::tls_binding;
+
+void Scope::BeginSpan(const char* name, const OpContext* traced_ctx) {
   name_ = name;
-  start_ns_ = NowNanos();
-  active_ = true;
-  ++ThisThreadSpans().depth;
+  root_ctx_ = nullptr;
+  span_id_ = 0;
+  parent_id_ = 0;
   Binding& b = tls_binding;
+  if (traced_ctx != nullptr && b.trace_id != traced_ctx->trace_id) {
+    // Request root: bind the trace to this thread for the scope's lifetime
+    // and open its capture.
+    root_ctx_ = traced_ctx;
+    prev_trace_id_ = b.trace_id;
+    prev_span_id_ = b.span_id;
+    prev_class_ = b.workload_class;
+    b.trace_id = traced_ctx->trace_id;
+    b.span_id = 0;
+    b.workload_class = traced_ctx->workload_class;
+    trace::IncTracedRoots();
+    trace::StartCapture(traced_ctx->trace_id, name,
+                        traced_ctx->workload_class_name(), start_ns_);
+  }
   if (b.trace_id != 0) {
-    span_id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
+    span_id_ = trace::g_next_span_id.fetch_add(1, std::memory_order_relaxed);
     parent_id_ = b.span_id;
     b.span_id = span_id_;
   }
+  ++trace::ThisThreadSpans().depth;
 }
 
-void TraceSpan::End() {
-  const uint64_t end_ns = NowNanos();
+void Scope::EndSpan(uint64_t end_ns) {
   const uint64_t dur_ns = end_ns - start_ns_;
-  SpanState& state = ThisThreadSpans();
+  SpanState& state = trace::ThisThreadSpans();
   const uint32_t depth = --state.depth;
-  const uint32_t flags = obs::Flags();
-  if (flags & obs::kTraceBit)
-    ThisThreadRing().Emit(name_, start_ns_, dur_ns, depth, kPhaseComplete);
+  const uint32_t flags = Flags();
+  if (flags & kTraceBit)
+    trace::ThisThreadRing().Emit(name_, start_ns_, dur_ns, depth);
+  Binding& b = tls_binding;
   if (span_id_ != 0) {
-    Binding& b = tls_binding;
     b.span_id = parent_id_;
     if (b.trace_id != 0) {
-      AppendSpanToCapture(b.trace_id,
-                          {name_, span_id_, parent_id_, start_ns_, dur_ns,
-                           ThisThreadTid()});
+      trace::AppendSpanToCapture(b.trace_id,
+                                 {name_, span_id_, parent_id_, start_ns_,
+                                  dur_ns, trace::ThisThreadTid()});
     }
   }
-  if (flags & obs::kSlowOpBit) {
+  const uint64_t threshold =
+      internal::g_slow_op_threshold_ns.load(std::memory_order_relaxed);
+  if (root_ctx_ == nullptr) {
+    // Child (or untraced top-level) span: feeds the slow-op log.
+    if (!(flags & kSlowOpBit)) return;
     if (depth > 0) {
       if (state.op_log.size() < SpanState::kMaxOpLog)
         state.op_log.push_back({name_, start_ns_, dur_ns, depth});
     } else {
-      const uint64_t threshold =
-          g_slow_op_threshold_ns.load(std::memory_order_relaxed);
       if (threshold > 0 && dur_ns >= threshold) {
-        g_slow_ops.fetch_add(1, std::memory_order_relaxed);
+        internal::g_slow_ops.fetch_add(1, std::memory_order_relaxed);
         MetricsRegistry::Default().GetCounter("bg3.trace.slow_ops")->Inc();
-        DumpSlowOp(state, name_, start_ns_, dur_ns);
+        trace::DumpSlowOp(state, name_, start_ns_, dur_ns);
       }
       state.op_log.clear();
     }
+    return;
   }
-}
-
-OpScope::OpScope(const char* name, const OpContext* ctx) {
-  if (ctx == nullptr || ctx->trace_id == 0) return;
-  ctx_ = ctx;
-  Begin(name);
-}
-
-void OpScope::Begin(const char* name) {
-  name_ = name;
-  start_ns_ = NowNanos();
-  active_ = true;
-  Binding& b = tls_binding;
-  root_ = b.trace_id != ctx_->trace_id;
-  if (root_) {
-    prev_trace_id_ = b.trace_id;
-    prev_span_id_ = b.span_id;
-    prev_class_ = b.workload_class;
-    b.trace_id = ctx_->trace_id;
-    b.span_id = 0;
-    b.workload_class = ctx_->workload_class;
-    IncTracedRoots();
-    StartCapture(ctx_->trace_id, name, ctx_->workload_class_name(),
-                 start_ns_);
-  }
-  span_id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
-  parent_id_ = b.span_id;
-  b.span_id = span_id_;
-  ++ThisThreadSpans().depth;
-}
-
-void OpScope::End() {
-  const uint64_t end_ns = NowNanos();
-  const uint64_t dur_ns = end_ns - start_ns_;
-  SpanState& state = ThisThreadSpans();
-  const uint32_t depth = --state.depth;
-  if (obs::Flags() & obs::kTraceBit)
-    ThisThreadRing().Emit(name_, start_ns_, dur_ns, depth, kPhaseComplete);
-  Binding& b = tls_binding;
-  b.span_id = parent_id_;
-  AppendSpanToCapture(ctx_->trace_id, {name_, span_id_, parent_id_, start_ns_,
-                                       dur_ns, ThisThreadTid()});
-  if (!root_) return;
 
   // Root teardown: restore the thread binding, close the capture, decide
   // retention (tail-based), and fold the request's account into the cost
   // counters.
+  const OpContext* ctx = root_ctx_;
   b.trace_id = prev_trace_id_;
   b.span_id = prev_span_id_;
   b.workload_class = prev_class_;
-  DecTracedRoots();
-  std::unique_ptr<ActiveTrace> capture = FinishCapture(ctx_->trace_id);
+  trace::DecTracedRoots();
+  std::unique_ptr<trace::ActiveTrace> capture =
+      trace::FinishCapture(ctx->trace_id);
   state.op_log.clear();
 
-  const uint64_t threshold =
-      g_slow_op_threshold_ns.load(std::memory_order_relaxed);
   const bool slow = threshold > 0 && dur_ns >= threshold;
   if (slow) {
-    g_slow_ops.fetch_add(1, std::memory_order_relaxed);
+    internal::g_slow_ops.fetch_add(1, std::memory_order_relaxed);
     MetricsRegistry::Default().GetCounter("bg3.trace.slow_ops")->Inc();
     fprintf(stderr,
             "[bg3 slow-op] %s took %.3f ms (threshold %.3f ms) "
             "(trace=%016llx class=%s) retained in /tracez\n",
             name_, dur_ns / 1e6, threshold / 1e6,
-            static_cast<unsigned long long>(ctx_->trace_id),
-            ctx_->workload_class_name());
+            static_cast<unsigned long long>(ctx->trace_id),
+            ctx->workload_class_name());
   }
   // threshold == 0 means "retain every traced request" (tests, opt-in
   // always-on capture); otherwise only slow roots survive.
   if ((threshold == 0 || slow) && capture != nullptr) {
-    SlowTrace st;
+    trace::SlowTrace st;
     st.trace_id = capture->trace_id;
     st.root_name = capture->root_name;
     st.workload_class = capture->workload_class != nullptr
@@ -670,14 +637,13 @@ void OpScope::End() {
     st.root_dur_ns = dur_ns;
     st.dropped_spans = capture->dropped;
     st.spans = std::move(capture->spans);
-    RetainTrace(std::move(st));
+    trace::RetainTrace(std::move(st));
   }
 
-  if (ctx_->stats != nullptr) {
-    CostAccounting::Default().RecordOp(*ctx_->stats,
-                                       ctx_->workload_class_name());
+  if (ctx->stats != nullptr) {
+    CostAccounting::Default().RecordOp(*ctx->stats, ctx->workload_class_name());
   }
 }
 
-}  // namespace trace
+}  // namespace obs
 }  // namespace bg3

@@ -6,13 +6,17 @@
 #include <string>
 #include <vector>
 
-namespace bg3 {
+#include "common/clock.h"
+#include "common/histogram.h"
+#include "common/metrics_registry.h"
+#include "common/op_context.h"
+#include "common/op_stats.h"
 
-struct OpContext;
+namespace bg3 {
 
 // ---------------------------------------------------------------------------
 // Global observability switches, packed into one atomic word so the
-// BG3_TIMED_SCOPE fast path is a single relaxed load + branch (~1 ns) when
+// BG3_SCOPE fast path is a single relaxed load + branch (~1 ns) when
 // everything is off. Defaults: timing on, tracing off, slow-op log off.
 // Environment overrides, read once at process start:
 //   BG3_TIMED_SCOPES=0      disable per-scope latency histograms
@@ -26,9 +30,10 @@ namespace obs {
 inline constexpr uint32_t kTimingBit = 1u;
 inline constexpr uint32_t kTraceBit = 2u;
 inline constexpr uint32_t kSlowOpBit = 4u;
-/// Set while at least one traced request (OpContext::Traced + trace::OpScope
-/// root) is in flight anywhere in the process; makes every TraceSpan check
-/// its thread's trace binding. Maintained by trace::OpScope, never by hand.
+/// Set while at least one traced request (OpContext::Traced + a root
+/// obs::Scope) is in flight anywhere in the process; makes every scope
+/// check its thread's trace binding. Maintained by the root scopes, never
+/// by hand.
 inline constexpr uint32_t kReqTraceBit = 8u;
 
 namespace internal {
@@ -84,10 +89,11 @@ struct SlowTrace {
 ///    into its own lock-free ring buffer (single-writer; overwrites oldest
 ///    on wrap); ExportChromeJson() merges all rings into a
 ///    chrome://tracing-loadable JSON document.
-///  - **Per-request** (OpContext::Traced + OpScope): spans are additionally
-///    keyed by trace id with parent/child causality and buffered per trace;
-///    when the root ends, the whole tree is retained iff the root was slow
-///    (tail-based), and served from RetainedTraces() / `/tracez`.
+///  - **Per-request** (OpContext::Traced + a root obs::Scope): spans are
+///    additionally keyed by trace id with parent/child causality and
+///    buffered per trace; when the root ends, the whole tree is retained iff
+///    the root was slow (tail-based), and served from RetainedTraces() /
+///    `/tracez`.
 ///
 /// Event `name` pointers must be string literals (or otherwise immortal):
 /// both planes store the pointer, not a copy.
@@ -108,9 +114,6 @@ class Trace {
   /// Top-level spans that exceeded the threshold so far (also a counter
   /// metric, `bg3.trace.slow_ops`).
   static uint64_t SlowOpCount();
-
-  /// Records an instant event on the calling thread's timeline.
-  static void Instant(const char* name);
 
   /// Merges every thread's ring into {"traceEvents":[...]} JSON.
   static std::string ExportChromeJson();
@@ -168,86 +171,98 @@ class TraceBinding {
   const char* prev_class_;
 };
 
-/// RAII request-root span, placed at every public API entry that accepts an
-/// OpContext (GraphDB ops, Query::Execute, ByteGraph ops). Inert — one
-/// pointer compare — unless `ctx` is traced (ctx->trace_id != 0).
+}  // namespace trace
+
+namespace obs {
+
+/// The one instrumentation scope (DESIGN.md §5.3). For its lifetime it:
+///  - stamps the thread's OpLayer (restored on exit), so cloud I/O issued
+///    inside bills to this layer in the request's OpStats;
+///  - with timing on, records its wall time (ns) into `hist`;
+///  - with tracing, the slow-op log or a traced request in flight, emits
+///    one span named `name` (firehose ring, slow-op log, and the bound
+///    trace's capture);
+///  - given a traced `ctx` on a thread not yet bound to that trace, becomes
+///    the request root: binds the trace to the thread, and on exit makes
+///    the tail-based retention decision and folds ctx->stats into
+///    CostAccounting::Default(). Every other scope is a child span.
 ///
-/// The *outermost* OpScope of a trace on its thread becomes the trace root:
-/// it starts per-request capture, binds the trace to the thread, and on
-/// destruction makes the tail-based retention decision and folds the
-/// request's OpStats into the cost accounting (CostAccounting::Default()).
-/// Nested OpScopes of the same trace record ordinary child spans. `name`
-/// must be a string literal, conventionally `bg3.<layer>.<op>` (no unit
-/// suffix — it is an operation, not a histogram).
-class OpScope {
+/// Cost model (observability_test, DESIGN.md §5.3): everything off and no
+/// traced ctx — one relaxed flag load + branch plus the layer stamp (a
+/// thread-local store each way), ~1 ns; timing on — two clock reads and a
+/// sharded histogram record, ~50 ns; tracing on — plus one ring emit.
+///
+/// Spell it with BG3_SCOPE. The layer-only constructor serves paths that
+/// bill I/O to a layer without being timed on their own (retry wrappers,
+/// background workers).
+class Scope {
  public:
-  OpScope(const char* name, const OpContext* ctx);
-  ~OpScope() {
-    if (active_) End();
+  explicit Scope(OpLayer layer) : prev_layer_(bg3::internal::TlsOpLayer()) {
+    bg3::internal::TlsOpLayer() = layer;
   }
 
-  OpScope(const OpScope&) = delete;
-  OpScope& operator=(const OpScope&) = delete;
-
- private:
-  void Begin(const char* name);
-  void End();
-
-  const char* name_ = nullptr;
-  const OpContext* ctx_ = nullptr;
-  uint64_t start_ns_ = 0;
-  uint64_t span_id_ = 0;
-  uint64_t parent_id_ = 0;
-  // Thread binding saved by the root, restored when the root ends.
-  uint64_t prev_trace_id_ = 0;
-  uint64_t prev_span_id_ = 0;
-  const char* prev_class_ = nullptr;
-  bool active_ = false;
-  bool root_ = false;
-};
-
-/// RAII begin/end span: records one complete ('X') trace event on scope
-/// exit, maintains the per-thread span depth, feeds the slow-op log, and —
-/// when the thread carries a trace binding — records a causal span into the
-/// bound trace's capture. Near-zero cost (one flag load) when tracing,
-/// slow-op logging, and request tracing are all off. `name` must be a
-/// string literal.
-class TraceSpan {
- public:
-  explicit TraceSpan(const char* name) {
-    if (obs::Flags() &
-        (obs::kTraceBit | obs::kSlowOpBit | obs::kReqTraceBit)) {
-      Begin(name);
+  Scope(Histogram* hist, const char* name, OpLayer layer,
+        const OpContext* ctx = nullptr)
+      : prev_layer_(bg3::internal::TlsOpLayer()) {
+    bg3::internal::TlsOpLayer() = layer;
+    const uint32_t flags = Flags();
+    const bool traced = ctx != nullptr && ctx->trace_id != 0;
+    if (flags == 0 && !traced) return;
+    start_ns_ = NowNanos();
+    if (flags & kTimingBit) hist_ = hist;
+    if (traced || (flags & (kTraceBit | kSlowOpBit | kReqTraceBit))) {
+      BeginSpan(name, traced ? ctx : nullptr);
     }
   }
-  ~TraceSpan() {
-    if (active_) End();
+
+  ~Scope() {
+    if (start_ns_ != 0) {
+      const uint64_t end_ns = NowNanos();
+      if (hist_ != nullptr) hist_->Record(end_ns - start_ns_);
+      if (name_ != nullptr) EndSpan(end_ns);
+    }
+    bg3::internal::TlsOpLayer() = prev_layer_;
   }
 
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
 
  private:
-  void Begin(const char* name);
-  void End();
+  void BeginSpan(const char* name, const OpContext* traced_ctx);
+  void EndSpan(uint64_t end_ns);
 
-  const char* name_ = nullptr;
-  uint64_t start_ns_ = 0;
-  uint64_t span_id_ = 0;   ///< nonzero only when bound to a traced request.
-  uint64_t parent_id_ = 0;
-  bool active_ = false;
+  // Only start_ns_, hist_ and name_ are read on the way out when nothing is
+  // on; the span fields are written by BeginSpan before any use.
+  uint64_t start_ns_ = 0;  ///< 0: nothing to record on exit.
+  Histogram* hist_ = nullptr;
+  const char* name_ = nullptr;  ///< non-null while a span is open.
+  const OpContext* root_ctx_;   ///< the request this scope roots, or null.
+  uint64_t span_id_;            ///< nonzero only when bound to a trace.
+  uint64_t parent_id_;
+  // Thread binding saved by a root, restored when the root ends.
+  uint64_t prev_trace_id_;
+  uint64_t prev_span_id_;
+  const char* prev_class_;
+  const OpLayer prev_layer_;
 };
 
-}  // namespace trace
+}  // namespace obs
 }  // namespace bg3
 
-/// Standalone trace span (no histogram); use BG3_TIMED_SCOPE when the scope
-/// should also feed a latency histogram.
-#define BG3_TRACE_SPAN(name_literal) \
-  ::bg3::trace::TraceSpan bg3_trace_span_##__LINE__(name_literal)
+#define BG3_OBS_CONCAT_INNER(a, b) a##b
+#define BG3_OBS_CONCAT(a, b) BG3_OBS_CONCAT_INNER(a, b)
 
-/// Request-root span at an OpContext-accepting API boundary.
-#define BG3_OP_SCOPE(name_literal, ctx_expr) \
-  ::bg3::trace::OpScope bg3_op_scope_##__LINE__(name_literal, ctx_expr)
+/// BG3_SCOPE(name_literal, layer[, ctx]): an obs::Scope over the rest of
+/// the enclosing block. `name_literal` must be a string literal,
+/// conventionally `bg3.<layer>.<op>`; it names the span, and the latency
+/// histogram is `<name_literal>_ns` in the default registry (resolved once
+/// per call site). Pass `ctx` only at public API entries that accept an
+/// OpContext: those are the scopes that can become request roots.
+#define BG3_SCOPE(name_literal, ...)                                       \
+  static ::bg3::Histogram* const BG3_OBS_CONCAT(bg3_scope_hist_,           \
+                                                __LINE__) =                \
+      ::bg3::MetricsRegistry::Default().GetHistogram(name_literal "_ns");  \
+  ::bg3::obs::Scope BG3_OBS_CONCAT(bg3_scope_, __LINE__)(                  \
+      BG3_OBS_CONCAT(bg3_scope_hist_, __LINE__), name_literal, __VA_ARGS__)
 
 #endif  // BG3_COMMON_TRACE_H_

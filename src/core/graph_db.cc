@@ -6,7 +6,7 @@
 
 #include "common/logging.h"
 #include "common/metrics_registry.h"
-#include "common/timed_scope.h"
+#include "common/trace.h"
 #include "graph/edge.h"
 
 namespace bg3::core {
@@ -605,9 +605,7 @@ void GraphDB::RefreshOverloadState() {
 
 Status GraphDB::AddVertex(graph::VertexId id, const Slice& properties,
                           const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.api.add_vertex_ns");
-  BG3_OP_SCOPE("bg3.api.add_vertex", ctx);
-  OpLayerScope api_layer(OpLayer::kApi);
+  BG3_SCOPE("bg3.api.add_vertex", OpLayer::kApi, ctx);
   AdmissionController::Permit permit;
   BG3_RETURN_IF_ERROR(AdmitOp(OpClass::kWrite, ctx, &permit));
   return vertex_tree_->Upsert(graph::EncodeDstKey(id), properties, ctx);
@@ -615,9 +613,7 @@ Status GraphDB::AddVertex(graph::VertexId id, const Slice& properties,
 
 Result<std::string> GraphDB::GetVertex(graph::VertexId id,
                                        const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.api.get_vertex_ns");
-  BG3_OP_SCOPE("bg3.api.get_vertex", ctx);
-  OpLayerScope api_layer(OpLayer::kApi);
+  BG3_SCOPE("bg3.api.get_vertex", OpLayer::kApi, ctx);
   AdmissionController::Permit permit;
   BG3_RETURN_IF_ERROR(AdmitOp(OpClass::kRead, ctx, &permit));
   return vertex_tree_->Get(graph::EncodeDstKey(id), ctx);
@@ -625,9 +621,7 @@ Result<std::string> GraphDB::GetVertex(graph::VertexId id,
 
 Status GraphDB::DeleteVertex(graph::VertexId id, graph::EdgeType type,
                              const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.api.delete_vertex_ns");
-  BG3_OP_SCOPE("bg3.api.delete_vertex", ctx);
-  OpLayerScope api_layer(OpLayer::kApi);
+  BG3_SCOPE("bg3.api.delete_vertex", OpLayer::kApi, ctx);
   AdmissionController::Permit permit;
   BG3_RETURN_IF_ERROR(AdmitOp(OpClass::kWrite, ctx, &permit));
   {
@@ -655,9 +649,7 @@ Status GraphDB::DeleteVertex(graph::VertexId id, graph::EdgeType type,
 Status GraphDB::AddEdge(graph::VertexId src, graph::EdgeType type,
                         graph::VertexId dst, const Slice& properties,
                         graph::TimestampUs created_us, const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.api.add_edge_ns");
-  BG3_OP_SCOPE("bg3.api.add_edge", ctx);
-  OpLayerScope api_layer(OpLayer::kApi);
+  BG3_SCOPE("bg3.api.add_edge", OpLayer::kApi, ctx);
   AdmissionController::Permit permit;
   BG3_RETURN_IF_ERROR(AdmitOp(OpClass::kWrite, ctx, &permit));
   if (created_us == 0) created_us = time_source_->NowUs();
@@ -668,9 +660,7 @@ Status GraphDB::AddEdge(graph::VertexId src, graph::EdgeType type,
 
 Status GraphDB::DeleteEdge(graph::VertexId src, graph::EdgeType type,
                            graph::VertexId dst, const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.api.delete_edge_ns");
-  BG3_OP_SCOPE("bg3.api.delete_edge", ctx);
-  OpLayerScope api_layer(OpLayer::kApi);
+  BG3_SCOPE("bg3.api.delete_edge", OpLayer::kApi, ctx);
   AdmissionController::Permit permit;
   BG3_RETURN_IF_ERROR(AdmitOp(OpClass::kWrite, ctx, &permit));
   return forest_->Delete(graph::MakeOwnerId(src, type),
@@ -680,9 +670,7 @@ Status GraphDB::DeleteEdge(graph::VertexId src, graph::EdgeType type,
 Result<std::string> GraphDB::GetEdge(graph::VertexId src, graph::EdgeType type,
                                      graph::VertexId dst,
                                      const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.api.get_edge_ns");
-  BG3_OP_SCOPE("bg3.api.get_edge", ctx);
-  OpLayerScope api_layer(OpLayer::kApi);
+  BG3_SCOPE("bg3.api.get_edge", OpLayer::kApi, ctx);
   AdmissionController::Permit permit;
   BG3_RETURN_IF_ERROR(AdmitOp(OpClass::kRead, ctx, &permit));
   auto value = forest_->Get(graph::MakeOwnerId(src, type),
@@ -702,9 +690,7 @@ Status GraphDB::GetNeighbors(graph::VertexId src, graph::EdgeType type,
                              size_t limit,
                              std::vector<graph::Neighbor>* out,
                              const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.api.get_neighbors_ns");
-  BG3_OP_SCOPE("bg3.api.get_neighbors", ctx);
-  OpLayerScope api_layer(OpLayer::kApi);
+  BG3_SCOPE("bg3.api.get_neighbors", OpLayer::kApi, ctx);
   AdmissionController::Permit permit;
   BG3_RETURN_IF_ERROR(AdmitOp(OpClass::kRead, ctx, &permit));
   // Decode each entry straight from the leaf into `out` (no intermediate
@@ -735,7 +721,7 @@ Status GraphDB::GetNeighbors(graph::VertexId src, graph::EdgeType type,
 }
 
 Status GraphDB::RunGcCycle() {
-  BG3_TIMED_SCOPE("bg3.api.run_gc_cycle_ns");
+  BG3_SCOPE("bg3.api.run_gc_cycle", OpLayer::kApi);
   // GC competes under its own (small) admission class so a maintenance
   // storm cannot crowd out foreground work; it never carries a deadline.
   AdmissionController::Permit permit;

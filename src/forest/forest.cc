@@ -5,7 +5,7 @@
 #include "common/coding.h"
 #include "common/hash.h"
 #include "common/logging.h"
-#include "common/timed_scope.h"
+#include "common/trace.h"
 
 namespace bg3::forest {
 
@@ -86,8 +86,7 @@ BwTreeForest::OwnerState* BwTreeForest::FindState(OwnerId owner) const {
 
 Status BwTreeForest::Upsert(OwnerId owner, const Slice& sort_key,
                             const Slice& value, const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.forest.upsert_ns");
-  OpLayerScope forest_layer(OpLayer::kForest);
+  BG3_SCOPE("bg3.forest.upsert", OpLayer::kForest);
   OwnerState* state = GetOrCreateState(owner);
   bool check_init_capacity = false;
   {
@@ -136,8 +135,7 @@ Status BwTreeForest::Delete(OwnerId owner, const Slice& sort_key,
 
 Result<std::string> BwTreeForest::Get(OwnerId owner, const Slice& sort_key,
                                       const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.forest.lookup_ns");
-  OpLayerScope forest_layer(OpLayer::kForest);
+  BG3_SCOPE("bg3.forest.lookup", OpLayer::kForest);
   OwnerState* state = FindState(owner);
   if (state == nullptr) return Status::NotFound("unknown owner");
   // Dedicated owners are read without the owner mutex: the tree pointer is
@@ -155,8 +153,7 @@ Result<std::string> BwTreeForest::Get(OwnerId owner, const Slice& sort_key,
 Status BwTreeForest::ScanOwner(OwnerId owner, const Slice& start_sort_key,
                                size_t limit, bwtree::ScanVisitor visit,
                                const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.forest.scan_ns");
-  OpLayerScope forest_layer(OpLayer::kForest);
+  BG3_SCOPE("bg3.forest.scan", OpLayer::kForest);
   OwnerState* state = FindState(owner);
   if (state == nullptr) return Status::OK();  // no entries yet
   // Same lock-free dedicated-owner fast path as Get.
@@ -202,8 +199,7 @@ Status BwTreeForest::DedicateOwner(OwnerId owner) {
 
 Status BwTreeForest::SplitOutLocked(OwnerId owner, OwnerState* state,
                                     LightCounter* reason) {
-  BG3_TIMED_SCOPE("bg3.forest.split_out_ns");
-  OpLayerScope forest_layer(OpLayer::kForest);
+  BG3_SCOPE("bg3.forest.split_out", OpLayer::kForest);
   BG3_CHECK(state->tree == nullptr);
   const bwtree::TreeId id =
       next_tree_id_.fetch_add(1, std::memory_order_relaxed);

@@ -288,7 +288,10 @@ Result<EpochRecord> PublishEpochRecord(cloud::CloudStore* store,
   // same next epoch, hence the same slot key and the same expected version —
   // exactly one Cas succeeds; the loser never reaches the head flip. (A
   // plain slot put with a head CAS would let the loser overwrite the
-  // winner's slot bytes after the winner's head flip.)
+  // winner's slot bytes after the winner's head flip.) The slot is read
+  // after the load above, so a rival may already have published this epoch
+  // (or a later one) into it: its version would then be the expected one
+  // and the Cas would overwrite the rival's record with a lower term.
   const std::string slot_key = EpochSlotKey(scope, rec.epoch);
   uint64_t slot_version = 0;
   {
@@ -297,6 +300,12 @@ Result<EpochRecord> PublishEpochRecord(cloud::CloudStore* store,
       return existing.status();
     }
     if (existing.status().IsNotFound()) slot_version = 0;
+    EpochRecord in_slot;
+    if (existing.ok() &&
+        EpochRecord::Decode(Slice(existing.value()), &in_slot).ok() &&
+        in_slot.epoch >= rec.epoch) {
+      return Status::Aborted("lost promotion race for scope " + scope);
+    }
   }
   auto cas = store->ManifestCas(slot_key, slot_version, rec.Encode());
   if (!cas.ok()) {

@@ -321,22 +321,6 @@ TEST(ClockTest, WallClockMonotonic) {
   EXPECT_LE(a, b);
 }
 
-TEST(VirtualClockTest, AdvanceAccumulates) {
-  VirtualClock c;
-  EXPECT_EQ(c.NowUs(), 0u);
-  EXPECT_EQ(c.Advance(100), 100u);
-  EXPECT_EQ(c.Advance(50), 150u);
-  EXPECT_EQ(c.NowUs(), 150u);
-}
-
-TEST(VirtualClockTest, AdvanceToNeverMovesBackward) {
-  VirtualClock c;
-  c.Advance(500);
-  EXPECT_EQ(c.AdvanceTo(200), 500u);
-  EXPECT_EQ(c.AdvanceTo(900), 900u);
-  EXPECT_EQ(c.NowUs(), 900u);
-}
-
 // --- metrics -----------------------------------------------------------------
 
 TEST(CounterTest, SingleThreaded) {

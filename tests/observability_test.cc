@@ -1,8 +1,9 @@
 // Tests for the observability stack: sharded Histogram percentiles and
 // merge, the process-wide MetricsRegistry (ownership, collisions, snapshot
 // determinism), the per-thread trace ring (wraparound, cross-thread export,
-// slow-op log), JsonWriter, StatsReporter, and the disabled-path cost of
-// BG3_TIMED_SCOPE (see DESIGN.md §5.3 for the budget).
+// slow-op log), JsonWriter, StatsReporter, and the obs::Scope behind
+// BG3_SCOPE: layer stamp, histogram, request roots and its disabled-path
+// cost (see DESIGN.md §5.3 for the budget).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -18,7 +19,6 @@
 #include "common/metrics_registry.h"
 #include "common/op_context.h"
 #include "common/stats_reporter.h"
-#include "common/timed_scope.h"
 #include "common/trace.h"
 #include "gtest/gtest.h"
 
@@ -184,7 +184,7 @@ TEST(MetricsRegistryTest, DeregisterPrefixRemovesExternalsOnly) {
 TEST(MetricsRegistryTest, CallbackMayReenterRegistry) {
   // Snapshot evaluates callbacks after releasing the registry mutex, so a
   // callback that itself creates metrics (as engine code under
-  // BG3_TIMED_SCOPE does) must not deadlock.
+  // BG3_SCOPE does) must not deadlock.
   MetricsRegistry& reg = MetricsRegistry::Default();
   reg.RegisterCallback("obs_test.reenter", [&reg] {
     return reg.GetCounter("obs_test.reenter.inner")->Get();
@@ -257,15 +257,15 @@ class TraceTest : public ::testing::Test {
 
 TEST_F(TraceTest, SpansAppearInChromeExport) {
   {
-    trace::TraceSpan outer("bg3.test.outer");
-    trace::TraceSpan inner("bg3.test.inner");
-    trace::Trace::Instant("bg3.test.mark");
+    BG3_SCOPE("bg3.test.outer", OpLayer::kOther);
+    BG3_SCOPE("bg3.test.inner", OpLayer::kOther);
   }
   const std::string json = trace::Trace::ExportChromeJson();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("bg3.test.outer"), std::string::npos);
-  EXPECT_NE(json.find("bg3.test.inner"), std::string::npos);
-  EXPECT_NE(json.find("bg3.test.mark"), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"bg3.test.outer\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"bg3.test.inner\""), std::string::npos);
+  // The span is named without the histogram's unit suffix.
+  EXPECT_EQ(json.find("bg3.test.outer_ns"), std::string::npos) << json;
   // cat is the second dot-component of the name.
   EXPECT_NE(json.find("\"cat\":\"test\""), std::string::npos) << json;
 }
@@ -274,8 +274,11 @@ TEST_F(TraceTest, RingWrapKeepsNewestEvents) {
   trace::Trace::SetRingCapacityForTesting(16);  // 16 is the enforced minimum
   // Fresh thread => fresh (tiny) ring; record far more events than fit.
   std::thread t([] {
-    for (int i = 0; i < 100; ++i) {
-      trace::TraceSpan span(i < 50 ? "bg3.test.old" : "bg3.test.recent");
+    for (int i = 0; i < 50; ++i) {
+      BG3_SCOPE("bg3.test.old", OpLayer::kOther);
+    }
+    for (int i = 0; i < 50; ++i) {
+      BG3_SCOPE("bg3.test.recent", OpLayer::kOther);
     }
   });
   t.join();
@@ -288,8 +291,10 @@ TEST_F(TraceTest, RingWrapKeepsNewestEvents) {
 }
 
 TEST_F(TraceTest, ExportMergesAllThreads) {
-  trace::Trace::Instant("bg3.test.main_thread");
-  std::thread t([] { trace::Trace::Instant("bg3.test.worker_thread"); });
+  {
+    BG3_SCOPE("bg3.test.main_thread", OpLayer::kOther);
+  }
+  std::thread t([] { BG3_SCOPE("bg3.test.worker_thread", OpLayer::kOther); });
   t.join();
   const std::string json = trace::Trace::ExportChromeJson();
   EXPECT_NE(json.find("bg3.test.main_thread"), std::string::npos);
@@ -300,20 +305,23 @@ TEST_F(TraceTest, SlowOpThresholdCountsOnlySlowRoots) {
   trace::Trace::SetSlowOpThresholdNs(1);  // everything is slow
   const uint64_t before = trace::Trace::SlowOpCount();
   {
-    trace::TraceSpan root("bg3.test.slow_root");
-    trace::TraceSpan child("bg3.test.fast_child");  // depth>0: not counted
+    BG3_SCOPE("bg3.test.slow_root", OpLayer::kOther);
+    BG3_SCOPE("bg3.test.fast_child", OpLayer::kOther);  // depth>0: not counted
   }
   EXPECT_EQ(trace::Trace::SlowOpCount(), before + 1);
 
   trace::Trace::SetSlowOpThresholdNs(60ull * 1'000'000'000);  // 1 min
   {
-    trace::TraceSpan root("bg3.test.fast_root");
+    BG3_SCOPE("bg3.test.fast_root", OpLayer::kOther);
   }
   EXPECT_EQ(trace::Trace::SlowOpCount(), before + 1);
 }
 
 TEST_F(TraceTest, ResetDropsEvents) {
-  trace::Trace::Instant("bg3.test.pre_reset");
+  {
+    BG3_SCOPE("bg3.test.pre_reset", OpLayer::kOther);
+  }
+  ASSERT_GT(trace::Trace::EventCountForTesting(), 0u);
   trace::Trace::Reset();
   const std::string json = trace::Trace::ExportChromeJson();
   EXPECT_EQ(json.find("bg3.test.pre_reset"), std::string::npos);
@@ -321,18 +329,16 @@ TEST_F(TraceTest, ResetDropsEvents) {
 
 TEST_F(TraceTest, DisabledRecordsNothing) {
   trace::Trace::SetEnabled(false);
-  trace::Trace::Instant("bg3.test.while_disabled");
   {
-    trace::TraceSpan span("bg3.test.span_disabled");
+    BG3_SCOPE("bg3.test.span_disabled", OpLayer::kOther);
   }
   trace::Trace::SetEnabled(true);
   const std::string json = trace::Trace::ExportChromeJson();
-  EXPECT_EQ(json.find("bg3.test.while_disabled"), std::string::npos);
   EXPECT_EQ(json.find("bg3.test.span_disabled"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
-// Per-request plane: OpScope / TraceBinding / tail-based retention
+// Per-request plane: root scopes / TraceBinding / tail-based retention
 // ---------------------------------------------------------------------------
 
 class RequestTraceTest : public ::testing::Test {
@@ -351,7 +357,7 @@ TEST_F(RequestTraceTest, SpanCausalityAcrossThreads) {
   OpContext ctx = OpContext::Traced("xthread", nullptr);
   uint64_t root_span = 0;
   {
-    trace::OpScope root("bg3.test.xthread_root", &ctx);
+    BG3_SCOPE("bg3.test.xthread_root", OpLayer::kOther, &ctx);
     // What a thread-pool handoff captures...
     const uint64_t trace_id = trace::CurrentTraceId();
     const uint64_t parent_span = trace::CurrentSpanId();
@@ -362,7 +368,7 @@ TEST_F(RequestTraceTest, SpanCausalityAcrossThreads) {
     // children of the handoff point.
     std::thread worker([trace_id, parent_span] {
       trace::TraceBinding binding(trace_id, parent_span, "xthread");
-      BG3_TRACE_SPAN("bg3.test.xthread_worker");
+      BG3_SCOPE("bg3.test.xthread_worker", OpLayer::kOther);
     });
     worker.join();
   }
@@ -392,11 +398,11 @@ TEST_F(RequestTraceTest, TailSamplingKeepsSlowDropsFast) {
 
   OpContext fast = OpContext::Traced("fast", nullptr);
   {
-    trace::OpScope scope("bg3.test.fast_op", &fast);
+    BG3_SCOPE("bg3.test.fast_op", OpLayer::kOther, &fast);
   }
   OpContext slow = OpContext::Traced("slow", nullptr);
   {
-    trace::OpScope scope("bg3.test.slow_op", &slow);
+    BG3_SCOPE("bg3.test.slow_op", OpLayer::kOther, &slow);
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 
@@ -413,7 +419,7 @@ TEST_F(RequestTraceTest, TailSamplingKeepsSlowDropsFast) {
 TEST_F(RequestTraceTest, ThresholdZeroRetainsEveryTracedRequest) {
   OpContext ctx = OpContext::Traced("always", nullptr);
   {
-    trace::OpScope scope("bg3.test.instant_op", &ctx);
+    BG3_SCOPE("bg3.test.instant_op", OpLayer::kOther, &ctx);
   }
   bool kept = false;
   for (const auto& t : trace::Trace::RetainedTraces()) {
@@ -422,11 +428,11 @@ TEST_F(RequestTraceTest, ThresholdZeroRetainsEveryTracedRequest) {
   EXPECT_TRUE(kept);
 }
 
-TEST_F(RequestTraceTest, NestedOpScopesShareOneRoot) {
+TEST_F(RequestTraceTest, NestedRootScopesShareOneRoot) {
   OpContext ctx = OpContext::Traced("nested", nullptr);
   {
-    trace::OpScope outer("bg3.test.outer_op", &ctx);
-    trace::OpScope inner("bg3.test.inner_op", &ctx);  // same trace: child
+    BG3_SCOPE("bg3.test.outer_op", OpLayer::kOther, &ctx);
+    BG3_SCOPE("bg3.test.inner_op", OpLayer::kOther, &ctx);  // child
   }
   const auto retained = trace::Trace::RetainedTraces();
   const trace::SlowTrace* mine = nullptr;
@@ -446,16 +452,18 @@ TEST_F(RequestTraceTest, UntracedContextRecordsNothing) {
   OpContext plain;  // trace_id 0
   const size_t before = trace::Trace::RetainedTraces().size();
   {
-    trace::OpScope scope("bg3.test.untraced_op", &plain);
-    trace::OpScope null_scope("bg3.test.null_op", nullptr);
+    BG3_SCOPE("bg3.test.untraced_op", OpLayer::kOther, &plain);
+    BG3_SCOPE("bg3.test.null_op", OpLayer::kOther, nullptr);
   }
   EXPECT_EQ(trace::Trace::RetainedTraces().size(), before);
 }
 
-// Acceptance bar: with no traced request in flight, BG3_OP_SCOPE on an
-// untraced context must cost single-digit nanoseconds (one null/zero check).
-// Same budget regime as DisabledOverheadUnderBudget below.
-TEST_F(RequestTraceTest, UntracedOpScopeOverheadUnderBudget) {
+// Acceptance bar: with everything off and no traced request in flight, an
+// API-entry BG3_SCOPE on an untraced context must cost single-digit
+// nanoseconds (flag load, null/zero check, layer stamp). Same budget regime
+// as DisabledOverheadUnderBudget below.
+TEST_F(RequestTraceTest, UntracedScopeOverheadUnderBudget) {
+  obs::SetTimingEnabled(false);
   trace::Trace::SetEnabled(false);
   trace::Trace::SetSlowOpThresholdNs(0);
   OpContext plain;
@@ -466,12 +474,13 @@ TEST_F(RequestTraceTest, UntracedOpScopeOverheadUnderBudget) {
   for (int rep = 0; rep < kReps; ++rep) {
     const uint64_t start = NowNanos();
     for (int i = 0; i < kIters; ++i) {
-      BG3_OP_SCOPE("bg3.test.overhead_op", &plain);
+      BG3_SCOPE("bg3.test.overhead_op", OpLayer::kApi, &plain);
     }
     const uint64_t elapsed = NowNanos() - start;
     ns_per_op = std::min(ns_per_op, static_cast<double>(elapsed) / kIters);
   }
-  printf("untraced BG3_OP_SCOPE: %.2f ns/op\n", ns_per_op);
+  obs::SetTimingEnabled(true);
+  printf("untraced BG3_SCOPE: %.2f ns/op\n", ns_per_op);
 #if defined(__has_feature)
 #if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
 #define BG3_OBS_TEST_SANITIZED_OPSCOPE 1
@@ -485,41 +494,63 @@ TEST_F(RequestTraceTest, UntracedOpScopeOverheadUnderBudget) {
   const double budget =
       budget_env != nullptr ? strtod(budget_env, nullptr) : 10.0;
   EXPECT_LT(ns_per_op, budget)
-      << "untraced OpScope fast path regressed past " << budget << " ns/op";
+      << "untraced scope fast path regressed past " << budget << " ns/op";
 #else
   EXPECT_LT(ns_per_op, 1'000.0);
 #endif
 }
 
 // ---------------------------------------------------------------------------
-// TimedScope
+// obs::Scope
 // ---------------------------------------------------------------------------
 
-TEST(TimedScopeTest, RecordsIntoRegistryHistogram) {
+TEST(ScopeTest, RecordsIntoRegistryHistogram) {
   obs::SetTimingEnabled(true);
   for (int i = 0; i < 10; ++i) {
-    BG3_TIMED_SCOPE("obs_test.timed.scope_ns");
+    BG3_SCOPE("obs_test.timed.scope", OpLayer::kOther);
   }
   const auto snap = MetricsRegistry::Default().TakeSnapshot();
   EXPECT_EQ(snap.histograms.at("obs_test.timed.scope_ns").count, 10u);
 }
 
-TEST(TimedScopeTest, DisabledTimingRecordsNothing) {
+TEST(ScopeTest, DisabledTimingRecordsNothing) {
   obs::SetTimingEnabled(false);
   for (int i = 0; i < 10; ++i) {
-    BG3_TIMED_SCOPE("obs_test.timed.disabled_ns");
+    BG3_SCOPE("obs_test.timed.disabled", OpLayer::kOther);
   }
   obs::SetTimingEnabled(true);
   const auto snap = MetricsRegistry::Default().TakeSnapshot();
   EXPECT_EQ(snap.histograms.at("obs_test.timed.disabled_ns").count, 0u);
 }
 
-// Satellite (f): the disabled fast path must stay in single-digit
-// nanoseconds — one relaxed atomic load and a branch. The assertion budget
-// is enforced only in plain optimized builds: sanitizers multiply the cost
-// of atomics by an order of magnitude, and debug builds don't inline the
-// scope, so there the test only sanity-checks an upper bound.
-TEST(TimedScopeTest, DisabledOverheadUnderBudget) {
+// The layer stamp holds whatever else is on or off: the innermost scope
+// wins, a scope given CurrentOpLayer() keeps the caller's layer, and every
+// scope restores the previous layer on exit.
+TEST(ScopeTest, StampsAndRestoresOpLayer) {
+  for (const bool timing : {false, true}) {
+    obs::SetTimingEnabled(timing);
+    ASSERT_EQ(CurrentOpLayer(), OpLayer::kOther);
+    {
+      BG3_SCOPE("obs_test.layer.forest", OpLayer::kForest);
+      EXPECT_EQ(CurrentOpLayer(), OpLayer::kForest);
+      {
+        BG3_SCOPE("obs_test.layer.cloud", CurrentOpLayer());
+        EXPECT_EQ(CurrentOpLayer(), OpLayer::kForest);
+        obs::Scope bwtree(OpLayer::kBwtree);
+        EXPECT_EQ(CurrentOpLayer(), OpLayer::kBwtree);
+      }
+      EXPECT_EQ(CurrentOpLayer(), OpLayer::kForest);
+    }
+    EXPECT_EQ(CurrentOpLayer(), OpLayer::kOther);
+  }
+}
+
+// The disabled fast path must stay in single-digit nanoseconds — one
+// relaxed atomic load and a branch plus the layer stamp. The assertion
+// budget is enforced only in plain optimized builds: sanitizers multiply
+// the cost of atomics by an order of magnitude, and debug builds don't
+// inline the scope, so there the test only sanity-checks an upper bound.
+TEST(ScopeTest, DisabledOverheadUnderBudget) {
   obs::SetTimingEnabled(false);
   trace::Trace::SetEnabled(false);
   trace::Trace::SetSlowOpThresholdNs(0);
@@ -531,20 +562,20 @@ TEST(TimedScopeTest, DisabledOverheadUnderBudget) {
   constexpr int kReps = 20;
   // Warm the static histogram-pointer initialization out of the timing.
   {
-    BG3_TIMED_SCOPE("obs_test.timed.overhead_ns");
+    BG3_SCOPE("obs_test.timed.overhead", OpLayer::kForest);
   }
   double ns_per_op = 1e18;
   for (int rep = 0; rep < kReps; ++rep) {
     const uint64_t start = NowNanos();
     for (int i = 0; i < kIters; ++i) {
-      BG3_TIMED_SCOPE("obs_test.timed.overhead_ns");
+      BG3_SCOPE("obs_test.timed.overhead", OpLayer::kForest);
     }
     const uint64_t elapsed = NowNanos() - start;
     ns_per_op = std::min(ns_per_op, static_cast<double>(elapsed) / kIters);
   }
   obs::SetTimingEnabled(true);
 
-  printf("disabled BG3_TIMED_SCOPE: %.2f ns/op\n", ns_per_op);
+  printf("disabled BG3_SCOPE: %.2f ns/op\n", ns_per_op);
 #if defined(__has_feature)
 #if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
 #define BG3_OBS_TEST_SANITIZED 1

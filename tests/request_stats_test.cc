@@ -20,6 +20,7 @@
 #include "common/trace.h"
 #include "core/graph_db.h"
 #include "query/query.h"
+#include "replication/cluster.h"
 #include "wal/writer.h"
 
 namespace bg3 {
@@ -44,6 +45,22 @@ uint64_t CounterOrZero(const MetricsRegistry::Snapshot& snap,
   return it == snap.counters.end() ? 0 : it->second;
 }
 
+uint64_t HistogramCount(const MetricsRegistry::Snapshot& snap,
+                        const std::string& name) {
+  auto it = snap.histograms.find(name);
+  return it == snap.histograms.end() ? 0 : it->second.count;
+}
+
+// Occurrences of `needle` in `haystack`.
+size_t CountOf(const std::string& haystack, const std::string& needle) {
+  size_t n = 0;
+  for (size_t pos = haystack.find(needle); pos != std::string::npos;
+       pos = haystack.find(needle, pos + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
 class RequestStatsTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -51,6 +68,7 @@ class RequestStatsTest : public ::testing::Test {
     trace::Trace::SetSlowOpThresholdNs(0);  // retain every traced request
   }
   void TearDown() override {
+    trace::Trace::SetEnabled(false);
     trace::Trace::SetSlowOpThresholdNs(0);
     trace::Trace::Reset();
     CostAccounting::Default().SetModel(CostModelOptions{});
@@ -275,6 +293,101 @@ TEST_F(RequestStatsTest, TracedWriteFoldsOneRequest) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// Every histogram perfbench's traced run reads by name (perfbench.cc). A
+// renamed or dropped scope must fail here instead of reading as 0 there.
+constexpr const char* kPerfbenchHistograms[] = {
+    "bg3.api.get_neighbors_ns",   "bg3.api.add_edge_ns",
+    "bg3.api.run_gc_cycle_ns",    "bg3.forest.upsert_ns",
+    "bg3.forest.lookup_ns",       "bg3.forest.scan_ns",
+    "bg3.forest.split_out_ns",    "bg3.bwtree.write_ns",
+    "bg3.bwtree.get_ns",          "bg3.bwtree.scan_ns",
+    "bg3.bwtree.consolidate_ns",  "bg3.bwtree.smo_split_ns",
+    "bg3.cloud.append_ns",        "bg3.cloud.read_ns",
+    "bg3.wal.append_ns",          "bg3.wal.serialize_ns",
+    "bg3.wal.commit_wait_ns",     "bg3.replication.ro_get_ns",
+    "bg3.gc.cycle_ns",
+};
+
+// Drives each layer perfbench measures once (plus the writes it takes to
+// split out an owner, consolidate and split a leaf) with timing on; every
+// histogram it reads must have counted something.
+TEST_F(RequestStatsTest, PerfbenchHistogramsAreRecorded) {
+  obs::SetTimingEnabled(true);
+  const auto before = MetricsRegistry::Default().TakeSnapshot();
+  {
+    cloud::CloudStore store;
+    core::GraphDBOptions opts;
+    opts.forest.split_out_threshold = 8;
+    opts.forest.tree_options.max_leaf_entries = 8;
+    opts.forest.tree_options.consolidate_threshold = 2;
+    core::GraphDB db(&store, opts);
+    for (graph::VertexId dst = 2; dst <= 40; ++dst) {
+      ASSERT_TRUE(db.AddEdge(1, kFollows, dst, "p", 1).ok());
+      ASSERT_TRUE(db.AddEdge(dst, kFollows, 1, "p", 1).ok());
+    }
+    // Evict so the reads below fault leaves back from the store.
+    std::vector<bwtree::BwTree*> trees;
+    db.forest()->AppendTrees(&trees);
+    for (bwtree::BwTree* t : trees) t->EvictColdPages(0);
+
+    ASSERT_TRUE(db.GetEdge(1, kFollows, 2).ok());
+    std::vector<graph::Neighbor> out;
+    ASSERT_TRUE(db.GetNeighbors(1, kFollows, 32, &out).ok());
+    EXPECT_EQ(out.size(), 32u);
+    auto two_hop =
+        query::Query(&db).V(1).Out(kFollows).Out(kFollows).Dedup().Execute();
+    ASSERT_TRUE(two_hop.ok()) << two_hop.status().ToString();
+    EXPECT_FALSE(two_hop.value().empty());
+    ASSERT_TRUE(db.RunGcCycle().ok());
+  }
+  {
+    cloud::CloudStore store;
+    replication::Bg3Cluster cluster(&store, replication::ClusterOptions{});
+    ASSERT_TRUE(cluster.Put("k", "v").ok());
+    auto got = cluster.Get("k");
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), "v");
+  }
+  const auto after = MetricsRegistry::Default().TakeSnapshot();
+  for (const char* name : kPerfbenchHistograms) {
+    EXPECT_GT(HistogramCount(after, name), HistogramCount(before, name))
+        << name << " is missing or recorded nothing";
+  }
+}
+
+// One scope per API entry: with tracing on, one GetNeighbors emits exactly
+// one `bg3.api.get_neighbors` span (untraced and as a request root), and
+// no span carries the histogram's `_ns` name.
+TEST_F(RequestStatsTest, OneSpanPerApiCall) {
+  cloud::CloudStore store;
+  core::GraphDB db(&store, core::GraphDBOptions{});
+  ASSERT_TRUE(db.AddEdge(1, kFollows, 2, "p", 1).ok());
+  trace::Trace::SetEnabled(true);
+  for (const bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    trace::Trace::Reset();
+    OpContext ctx = OpContext::Traced("one_span", nullptr);
+    std::vector<graph::Neighbor> out;
+    ASSERT_TRUE(
+        db.GetNeighbors(1, kFollows, 8, &out, traced ? &ctx : nullptr).ok());
+    const std::string json = trace::Trace::ExportChromeJson();
+    EXPECT_EQ(CountOf(json, "\"name\":\"bg3.api.get_neighbors\""), 1u)
+        << json;
+    EXPECT_EQ(CountOf(json, "_ns\""), 0u) << json;
+    if (traced) {
+      size_t api_spans = 0;
+      for (const trace::SlowTrace& t : trace::Trace::RetainedTraces()) {
+        if (t.trace_id != ctx.trace_id) continue;
+        EXPECT_EQ(t.root_name, "bg3.api.get_neighbors");
+        for (const trace::SpanRecord& s : t.spans) {
+          if (std::string(s.name) == "bg3.api.get_neighbors") ++api_spans;
+        }
+      }
+      EXPECT_EQ(api_spans, 1u);
+    }
+  }
 }
 
 }  // namespace
