@@ -13,9 +13,9 @@ under scripts/bg3_lint/tests/ pins its behavior per pass.
 Known, documented blind spots (see DESIGN.md §5.6):
   - lambda bodies are indexed as separate synthetic functions; calls inside
     a lambda are *not* attributed to the enclosing function, because most
-    lambdas here are deferred work (thread-pool tasks, retry ops). Blocking
-    executors (RetryWithBackoff, ThreadPool::Submit) are themselves
-    BG3_BLOCKING, so the discipline still holds at the dispatch site. The
+    lambdas here are deferred work (thread bodies, retry ops). Blocking
+    executors (RetryWithBackoff) are themselves BG3_BLOCKING, so the
+    discipline still holds at the dispatch site. The
     one exception is a lambda passed as a Bw-tree scan visitor, which runs
     synchronously under the callee's leaf latch: latch-discipline checks
     its body as a held region (visitor_lambdas below).

@@ -1,7 +1,7 @@
 """latch-discipline: no blocking work while a bg3 latch is held.
 
 Seeds: functions annotated BG3_BLOCKING (cloud-store I/O, WAL append/flush,
-thread-pool waits, retry/backoff sleeps, admission-queue waits) plus a small
+commit waits, retry/backoff sleeps, admission-queue waits) plus a small
 set of blocking primitives recognized by name (sleep_for, condition-variable
 waits, thread joins). Blocking-ness propagates transitively over the
 name-resolved call graph; a function annotated BG3_NO_BLOCKING stops

@@ -74,11 +74,8 @@ void AppendPipeline::WorkerMain() {
       retry.breaker = &store_->breaker();
       uint64_t latency_us = 0;
       auto res = RetryResultWithBackoff(retry, [&] {
-        if (opts_.term != 0) {
-          return store_->AppendFenced(opts_.stream, opts_.term, payload,
-                                      &latency_us, nullptr);
-        }
-        return store_->Append(opts_.stream, payload, &latency_us, nullptr);
+        return store_->Append(opts_.stream, payload, &latency_us, nullptr,
+                              opts_.term);
       });
       if (opts_.wall_latency_scale > 0 && latency_us > 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(

@@ -32,8 +32,7 @@ struct AppendPipelineOptions {
   /// (the store itself completes in memory speed). 0 — the default — keeps
   /// tests and simulated-time benches instantaneous.
   double wall_latency_scale = 0.0;
-  /// Fencing term every append carries (DESIGN.md §5.10). 0 = unfenced
-  /// plain appends (legacy). Non-zero routes through AppendFenced: once the
+  /// Fencing term every append carries (DESIGN.md §5.10): once the
   /// stream's fence passes this term, in-flight batches complete with
   /// Status::Fenced — which is not retryable, so workers surface it to the
   /// completion callback immediately instead of burning the retry budget.

@@ -127,20 +127,6 @@ FaultDecision CloudStore::DecideFault(FaultOp op) const {
   return d;
 }
 
-Result<PagePointer> CloudStore::Append(StreamId stream, const Slice& record,
-                                       uint64_t* latency_us,
-                                       const OpContext* ctx) {
-  return AppendImpl(stream, /*fenced=*/false, /*term=*/0, record, latency_us,
-                    ctx);
-}
-
-Result<PagePointer> CloudStore::AppendFenced(StreamId stream, uint64_t term,
-                                             const Slice& record,
-                                             uint64_t* latency_us,
-                                             const OpContext* ctx) {
-  return AppendImpl(stream, /*fenced=*/true, term, record, latency_us, ctx);
-}
-
 void CloudStore::FenceStream(StreamId stream, uint64_t min_term) {
   Stream* s = GetStream(stream);
   if (s != nullptr) s->Fence(min_term);
@@ -151,10 +137,9 @@ uint64_t CloudStore::StreamFenceTerm(StreamId stream) const {
   return s == nullptr ? 0 : s->fence_term();
 }
 
-Result<PagePointer> CloudStore::AppendImpl(StreamId stream, bool fenced,
-                                           uint64_t term, const Slice& record,
-                                           uint64_t* latency_us,
-                                           const OpContext* ctx) {
+Result<PagePointer> CloudStore::Append(StreamId stream, const Slice& record,
+                                       uint64_t* latency_us,
+                                       const OpContext* ctx, uint64_t term) {
   BG3_SCOPE("bg3.cloud.append", CurrentOpLayer());
   Stream* s = GetStream(stream);
   if (s == nullptr) return Status::InvalidArgument("unknown stream");
@@ -162,12 +147,6 @@ Result<PagePointer> CloudStore::AppendImpl(StreamId stream, bool fenced,
   BG3_RETURN_IF_ERROR(CheckLatencyBudget(
       ctx, latency_model_.AppendLatencyUs(record.size()), "append"));
   BG3_RETURN_IF_ERROR(CheckBreaker());
-  // Places the record, honoring the fence check atomically with placement
-  // when this is a fenced append.
-  auto place = [&]() -> Result<PagePointer> {
-    if (fenced) return s->AppendFenced(record, term);
-    return s->Append(record);
-  };
   const FaultDecision fault = DecideFault(FaultOp::kAppend);
   if (fault.fail) {
     breaker_.RecordError();
@@ -180,7 +159,7 @@ Result<PagePointer> CloudStore::AppendImpl(StreamId stream, bool fenced,
     // died mid-append before acknowledging). The dead bytes occupy extent
     // capacity until GC frees it, exactly like a real partial append, so
     // the record is appended for real, then garbled and invalidated.
-    Result<PagePointer> placed = place();
+    Result<PagePointer> placed = s->Append(record, term);
     if (!placed.ok()) {
       // A fenced rejection is a healthy answer, not a substrate failure —
       // and it wins over the injected fault (the record never landed).
@@ -206,7 +185,7 @@ Result<PagePointer> CloudStore::AppendImpl(StreamId stream, bool fenced,
     breaker_.RecordError();
     return Status::IOError("injected torn append at stream tail");
   }
-  Result<PagePointer> placed = place();
+  Result<PagePointer> placed = s->Append(record, term);
   if (!placed.ok()) {
     // Status::Fenced: the stream correctly rejected a deposed writer.
     breaker_.RecordSuccess();

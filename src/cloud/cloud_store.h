@@ -116,24 +116,21 @@ class CloudStore {
   /// DeadlineExceeded, and an open circuit breaker fails fast with
   /// Overloaded — both before touching the substrate. Null ctx keeps the
   /// exact historical behavior.
+  ///
+  /// Every append carries the writer's `term` (DESIGN.md §5.10) and fails
+  /// with Status::Fenced — atomically with record placement — when it is
+  /// below the stream's fence term. Term 0 is the lowest term: streams that
+  /// are never fenced (base, delta, LSM, refstore) accept it; only a fenced
+  /// WAL stream refuses it. Fenced is a *correct rejection* by a healthy
+  /// substrate, not a substrate failure: it does not feed the circuit
+  /// breaker's error window and is not retryable.
   BG3_BLOCKING Result<PagePointer> Append(StreamId stream, const Slice& record,
-                             uint64_t* latency_us = nullptr,
-                             const OpContext* ctx = nullptr);
-
-  /// Term-fenced append (DESIGN.md §5.10): fails with Status::Fenced —
-  /// atomically with record placement — when `term` is below the stream's
-  /// fence term. Fenced is a *correct rejection* by a healthy substrate, not
-  /// a substrate failure: it does not feed the circuit breaker's error
-  /// window and is not retryable. Plain Append() does not participate in
-  /// fencing (page-flush and GC streams are never fenced; only the WAL
-  /// stream of a partition is).
-  BG3_BLOCKING Result<PagePointer> AppendFenced(StreamId stream, uint64_t term,
-                                   const Slice& record,
-                                   uint64_t* latency_us = nullptr,
-                                   const OpContext* ctx = nullptr);
+                                          uint64_t* latency_us = nullptr,
+                                          const OpContext* ctx = nullptr,
+                                          uint64_t term = 0);
 
   /// Raises `stream`'s fence to `min_term` (monotone, idempotent). Every
-  /// AppendFenced carrying a lower term fails from this point on — the
+  /// Append carrying a lower term fails from this point on — the
   /// promotion barrier that makes a deposed leader's in-flight pipelined
   /// groups land nowhere.
   void FenceStream(StreamId stream, uint64_t min_term);
@@ -241,9 +238,6 @@ class CloudStore {
 
  private:
   Stream* GetStream(StreamId id) const;
-  Result<PagePointer> AppendImpl(StreamId stream, bool fenced, uint64_t term,
-                                 const Slice& record, uint64_t* latency_us,
-                                 const OpContext* ctx);
   /// Consults the attached injector (if any) for `op`; counts fired faults.
   FaultDecision DecideFault(FaultOp op) const;
   /// Overloaded when the breaker rejects, OK otherwise.

@@ -25,7 +25,13 @@ void Stream::OpenNewExtent(size_t capacity) {
   extents_.emplace(eid, std::move(extent));
 }
 
-PagePointer Stream::AppendLocked(const Slice& record) {
+Result<PagePointer> Stream::Append(const Slice& record, uint64_t term) {
+  MutexLock lock(&mu_);
+  if (term < fence_term_) {
+    return Status::Fenced("stream " + name_ + " fenced at term " +
+                          std::to_string(fence_term_) + ", append term " +
+                          std::to_string(term));
+  }
   if (record.size() > extent_capacity_) {
     // Oversized record: seal the current extent and give the record its own.
     active_->Seal();
@@ -38,21 +44,6 @@ PagePointer Stream::AppendLocked(const Slice& record) {
   total_bytes_ += record.size();
   return PagePointer{id_, active_->id(), offset,
                      static_cast<uint32_t>(record.size())};
-}
-
-PagePointer Stream::Append(const Slice& record) {
-  MutexLock lock(&mu_);
-  return AppendLocked(record);
-}
-
-Result<PagePointer> Stream::AppendFenced(const Slice& record, uint64_t term) {
-  MutexLock lock(&mu_);
-  if (term < fence_term_) {
-    return Status::Fenced("stream " + name_ + " fenced at term " +
-                          std::to_string(fence_term_) + ", append term " +
-                          std::to_string(term));
-  }
-  return AppendLocked(record);
 }
 
 void Stream::Fence(uint64_t min_term) {

@@ -52,16 +52,12 @@ class Stream {
 
   /// Appends one record, sealing the active extent and opening a new one if
   /// needed. A record larger than the extent capacity gets a dedicated
-  /// oversized extent.
-  PagePointer Append(const Slice& record);
-
-  /// Term-fenced append (DESIGN.md §5.10): the record is placed only if
-  /// `term` is at least the stream's fence term, atomically with the fence
-  /// check — a deposed leader's batch can never land after a newer leader's
-  /// fence is raised. `term == 0` means unfenced legacy callers, which are
-  /// rejected too once a fence is raised (a fenced stream accepts only
-  /// writers that present a current term).
-  Result<PagePointer> AppendFenced(const Slice& record, uint64_t term);
+  /// oversized extent. Term-fenced (DESIGN.md §5.10): the record is placed
+  /// only if `term` is at least the stream's fence term, atomically with
+  /// the fence check — a deposed leader's batch can never land after a
+  /// newer leader's fence is raised. Term 0 is simply the lowest term:
+  /// never-fenced streams accept it, a fenced one refuses it.
+  Result<PagePointer> Append(const Slice& record, uint64_t term = 0);
 
   /// Raises the fence to `min_term` (monotone; lower values are ignored).
   /// After this returns, every append carrying a term < min_term fails with
@@ -104,7 +100,6 @@ class Stream {
 
  private:
   void OpenNewExtent(size_t capacity) BG3_REQUIRES(mu_);
-  PagePointer AppendLocked(const Slice& record) BG3_REQUIRES(mu_);
   Extent* FindExtentLocked(ExtentId id) BG3_REQUIRES(mu_);
   const Extent* FindExtentLocked(ExtentId id) const BG3_REQUIRES(mu_);
 
@@ -119,7 +114,7 @@ class Stream {
   Extent* active_ BG3_GUARDED_BY(mu_) = nullptr;
   uint64_t total_bytes_ BG3_GUARDED_BY(mu_) = 0;
   uint64_t dead_bytes_ BG3_GUARDED_BY(mu_) = 0;
-  // Minimum term an AppendFenced caller must present (0 = no fence yet).
+  // Minimum term an Append must present (0 = no fence yet).
   // Guarded by mu_ so the check is atomic with record placement.
   uint64_t fence_term_ BG3_GUARDED_BY(mu_) = 0;
 };

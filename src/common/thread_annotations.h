@@ -75,7 +75,7 @@
 //
 // BG3_BLOCKING marks a function that can stall the calling thread for an
 // unbounded or I/O-scale time: cloud-store RPCs, WAL appends/flushes,
-// thread-pool queue waits, retry/backoff sleeps, admission-queue waits.
+// retry/backoff sleeps, admission-queue waits.
 // BG3_NO_BLOCKING is the dual assertion: the function promises never to
 // block, and bg3-lint's latch-discipline pass errors if its body (or
 // anything it transitively calls) reaches a BG3_BLOCKING function.

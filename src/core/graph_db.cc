@@ -281,7 +281,7 @@ void GraphDB::ImageListener::OnPageFlushed(
     const std::vector<cloud::PagePointer>& delta_ptrs,
     const std::string& low_key, const std::string& high_key,
     bool has_high_key) {
-  StagedImage staged;
+  replication::StagedImage staged;
   staged.tree = tree;
   staged.page = page;
   staged.meta.flushed_lsn = flushed_lsn;
@@ -372,32 +372,13 @@ void GraphDB::RestoreFromManifest(
 }
 
 void GraphDB::PublishStagedImages() {
-  std::vector<StagedImage> staged;
+  std::vector<replication::StagedImage> staged;
   {
     std::lock_guard<std::mutex> lock(staged_mu_);
     staged.swap(ckpt_staged_);
   }
-  if (staged.empty()) return;
-  // Children before parents (page ids are allocated monotonically, so a
-  // split child always outranks its parent) and one image per page — the
-  // same ordering the RW node's group flush uses, so a crash between puts
-  // can only leave an overlap (caught by restore's tiling validation),
-  // never a silent hole.
-  std::sort(staged.begin(), staged.end(),
-            [](const StagedImage& a, const StagedImage& b) {
-              return a.page > b.page;
-            });
-  for (auto it = staged.begin(); it != staged.end();) {
-    auto next = it + 1;
-    if (next != staged.end() && next->tree == it->tree &&
-        next->page == it->page) {
-      if (next->meta.flushed_lsn < it->meta.flushed_lsn) *next = *it;
-      it = staged.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (const StagedImage& s : staged) {
+  replication::OrderForPublication(&staged);
+  for (const replication::StagedImage& s : staged) {
     store_->ManifestPut(replication::PageImageKey(s.tree, s.page),
                         s.meta.Encode());
   }

@@ -210,12 +210,6 @@ class GraphDB : public graph::GraphEngine {
     GraphDB* const db_;
   };
 
-  struct StagedImage {
-    bwtree::TreeId tree = 0;
-    bwtree::PageId page = bwtree::kInvalidPage;
-    replication::PageImageMeta meta;
-  };
-
   struct CheckpointCut {
     bool active = false;
     /// Dirty snapshot across every tree at cut begin, drained in order.
@@ -229,7 +223,7 @@ class GraphDB : public graph::GraphEngine {
   std::vector<bwtree::RecoveredPage> LoadTreeImages(bwtree::TreeId tree);
   /// Restores forest/vertex state from `manifest`; called from the ctor.
   void RestoreFromManifest(const replication::CheckpointManifest& manifest);
-  /// Publishes staged images, children (larger ids) first, deduped.
+  /// Publishes the staged images in replication::OrderForPublication order.
   void PublishStagedImages();
   Status CheckpointCycleLocked();
 
@@ -295,7 +289,7 @@ class GraphDB : public graph::GraphEngine {
   /// Images staged by OnPageFlushed (called under the flushing leaf's
   /// latch) awaiting ordered publication by the cycle.
   std::mutex staged_mu_;
-  std::vector<StagedImage> ckpt_staged_;
+  std::vector<replication::StagedImage> ckpt_staged_;
   std::unordered_map<bwtree::TreeId, bwtree::Lsn> ckpt_tree_lsn_;
 
   /// Restore-priority queue: every non-resident page installed at restore,

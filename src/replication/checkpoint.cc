@@ -15,7 +15,9 @@ std::string CheckpointManifest::Encode() const {
   std::string out;
   PutFixed64(&out, epoch);
   PutFixed32(&out, wal_stream);
-  wal_cursor.EncodeTo(&out);
+  wal_cursor.ptr.EncodeTo(&out);
+  PutVarint64(&out, wal_cursor.term);
+  PutVarint64(&out, wal_cursor.seq);
   PutFixed64(&out, checkpoint_lsn);
   PutVarint32(&out, static_cast<uint32_t>(trees.size()));
   for (const CheckpointTree& t : trees) {
@@ -28,10 +30,6 @@ std::string CheckpointManifest::Encode() const {
     PutVarint64(&out, o.tree_id);
     PutVarint64(&out, o.entry_count);
   }
-  // Appended after the original layout so pre-pipeline manifests (which end
-  // here) still decode, reading (0, 0) — the "no frame identity" sentinel.
-  PutVarint64(&out, wal_term);
-  PutVarint64(&out, wal_seq);
   PutFixed32(&out, Crc32c(out.data(), out.size()));
   return out;
 }
@@ -46,7 +44,9 @@ Status CheckpointManifest::Decode(const Slice& input, CheckpointManifest* out) {
   Slice in(input.data(), body_len);
   uint32_t tree_count = 0;
   if (!GetFixed64(&in, &out->epoch) || !GetFixed32(&in, &out->wal_stream) ||
-      !cloud::PagePointer::DecodeFrom(&in, &out->wal_cursor) ||
+      !cloud::PagePointer::DecodeFrom(&in, &out->wal_cursor.ptr) ||
+      !GetVarint64(&in, &out->wal_cursor.term) ||
+      !GetVarint64(&in, &out->wal_cursor.seq) ||
       !GetFixed64(&in, &out->checkpoint_lsn) ||
       !GetVarint32(&in, &tree_count)) {
     return Status::Corruption("checkpoint manifest header");
@@ -73,12 +73,6 @@ Status CheckpointManifest::Decode(const Slice& input, CheckpointManifest* out) {
       return Status::Corruption("checkpoint manifest owner entry");
     }
     out->owners.push_back(o);
-  }
-  out->wal_term = 0;
-  out->wal_seq = 0;
-  if (!in.empty() &&
-      (!GetVarint64(&in, &out->wal_term) || !GetVarint64(&in, &out->wal_seq))) {
-    return Status::Corruption("checkpoint manifest wal frame identity");
   }
   if (!in.empty()) return Status::Corruption("checkpoint manifest trailing");
   return Status::OK();
@@ -505,9 +499,7 @@ Status Checkpointer::PublishCutLocked() {
   CheckpointManifest m;
   m.epoch = epoch_ + 1;
   m.wal_stream = node_->options().wal.stream;
-  m.wal_cursor = cut_.wal_cursor.ptr;
-  m.wal_term = cut_.wal_cursor.term;
-  m.wal_seq = cut_.wal_cursor.seq;
+  m.wal_cursor = cut_.wal_cursor;
   m.checkpoint_lsn = cut_.lsn;
   m.trees.push_back({node_->options().tree.tree_id, cut_.lsn});
   BG3_RETURN_IF_ERROR(PublishCheckpoint(store_, scope_, m));

@@ -43,20 +43,13 @@ struct CheckpointOwner {
 struct CheckpointManifest {
   uint64_t epoch = 0;  ///< monotonically increasing publish counter.
   cloud::StreamId wal_stream = 0;
-  /// Last WAL batch whose records are all covered; null when the scope has
-  /// no WAL (GraphDB-level checkpoints).
-  cloud::PagePointer wal_cursor;
-  /// (term, seq) identity of that batch under the pipelined writer's batch
-  /// framing (0, 0 for pre-pipeline manifests): recovery seeds its reader
-  /// with them so late-landing duplicates of batches at or below the cursor
-  /// are deduplicated rather than replayed out of order.
-  uint64_t wal_term = 0;
-  uint64_t wal_seq = 0;
+  /// Last WAL batch whose records are all covered, with its (term, seq)
+  /// identity: recovery seeks its reader here, so late-landing duplicates
+  /// of batches at or below the cursor are deduplicated rather than
+  /// replayed out of order. Null when the scope has no WAL (GraphDB-level
+  /// checkpoints).
+  wal::WalCursor wal_cursor;
   bwtree::Lsn checkpoint_lsn = 0;
-
-  wal::WalCursor WalResumeCursor() const {
-    return wal::WalCursor{wal_cursor, wal_term, wal_seq};
-  }
   std::vector<CheckpointTree> trees;    ///< last-flushed LSN per tree.
   std::vector<CheckpointOwner> owners;  ///< forest owner registry.
 

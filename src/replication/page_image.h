@@ -1,7 +1,9 @@
 #ifndef BG3_REPLICATION_PAGE_IMAGE_H_
 #define BG3_REPLICATION_PAGE_IMAGE_H_
 
+#include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bwtree/page.h"
@@ -85,6 +87,34 @@ inline bool ParsePageImageKey(const std::string& key, bwtree::TreeId* tree,
   if (end != key.c_str() + slash) return false;
   *page = strtoull(key.c_str() + slash + 1, &end, 10);
   return *end == '\0';
+}
+
+/// A flushed page image awaiting publication in the mapping table.
+struct StagedImage {
+  bwtree::TreeId tree = 0;
+  bwtree::PageId page = bwtree::kInvalidPage;
+  PageImageMeta meta;
+};
+
+/// Puts `staged` into publication order for the mapping table: one image
+/// per (tree, page), the one with the newest flushed_lsn (a checkpoint
+/// round and a GC relocation can both stage the same page), and within a
+/// tree children before parents (descending page id; page ids are allocated
+/// monotonically, so a split child always outranks its parent). Publishing
+/// in this order means a crash between puts can only leave an overlap,
+/// never a hole: an RO node never observes a parent's post-split image
+/// while the child image is missing.
+inline void OrderForPublication(std::vector<StagedImage>* staged) {
+  std::sort(staged->begin(), staged->end(),
+            [](const StagedImage& a, const StagedImage& b) {
+              return std::tie(a.tree, b.page, b.meta.flushed_lsn) <
+                     std::tie(b.tree, a.page, a.meta.flushed_lsn);
+            });
+  staged->erase(std::unique(staged->begin(), staged->end(),
+                            [](const StagedImage& a, const StagedImage& b) {
+                              return a.tree == b.tree && a.page == b.page;
+                            }),
+                staged->end());
 }
 
 }  // namespace bg3::replication

@@ -130,7 +130,7 @@ void RoNode::BootstrapFromManifestLocked() {
       const CheckpointManifest& m = loaded.value().manifest;
       // Cursor-exact seek: the manifest's (term, seq) lets the reader drop
       // late-landing duplicates of batches the checkpoint already covers.
-      reader_.SeekTo(m.WalResumeCursor(), m.checkpoint_lsn);
+      reader_.SeekTo(m.wal_cursor, m.checkpoint_lsn);
       max_lsn_seen_ = std::max(max_lsn_seen_, m.checkpoint_lsn);
       resumed_from_checkpoint_ = true;
       checkpoint_fell_back_ = loaded.value().fell_back;

@@ -16,9 +16,6 @@ RwNode::RwNode(cloud::CloudStore* store, const RwNodeOptions& options)
   tree_opts.listener = this;
   if (tree_opts.lsn_source == nullptr) tree_opts.lsn_source = &lsn_source_;
   tree_ = std::make_unique<bwtree::BwTree>(store_, tree_opts);
-  if (opts_.async_group_flush) {
-    flusher_ = std::thread([this] { FlusherMain(); });
-  }
 }
 
 RwNode::RwNode(BootstrapTag, cloud::CloudStore* store,
@@ -32,38 +29,6 @@ RwNode::RwNode(BootstrapTag, cloud::CloudStore* store,
   tree_opts.bootstrap = true;  // layout installed by Recover()
   if (tree_opts.lsn_source == nullptr) tree_opts.lsn_source = &lsn_source_;
   tree_ = std::make_unique<bwtree::BwTree>(store_, tree_opts);
-  if (opts_.async_group_flush) {
-    flusher_ = std::thread([this] { FlusherMain(); });
-  }
-}
-
-RwNode::~RwNode() {
-  if (flusher_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(flusher_mu_);
-      flusher_stop_ = true;
-    }
-    flusher_cv_.notify_all();
-    flusher_.join();
-  }
-}
-
-void RwNode::FlusherMain() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(flusher_mu_);
-      flusher_cv_.wait(lock,
-                       [this] { return flusher_stop_ || flush_requested_; });
-      // A request signalled before stop still runs (a write crossed the
-      // threshold and was told the flusher would take it).
-      if (flusher_stop_ && !flush_requested_) return;
-      flush_requested_ = false;
-    }
-    async_flushes_.Inc();
-    // Failures are counted, not retried here: the dirty pages stay dirty,
-    // so the next threshold crossing re-signals and retries naturally.
-    if (Status s = FlushGroup(); !s.ok()) async_flush_errors_.Inc();
-  }
 }
 
 void RwNode::SetLockRanks() {
@@ -153,14 +118,6 @@ Status RwNode::MaybeFlushGroup() {
       tree_->DirtyPageIds().size() < opts_.flush_group_pages) {
     return Status::OK();
   }
-  if (flusher_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(flusher_mu_);
-      flush_requested_ = true;
-    }
-    flusher_cv_.notify_one();
-    return Status::OK();
-  }
   return FlushGroup();
 }
 
@@ -189,32 +146,12 @@ Status RwNode::PublishStagedLocked(bwtree::Lsn checkpoint, bool force_record) {
   // (RO nodes replay from the WAL on top of published images).
   BG3_RETURN_IF_ERROR(wal_.Flush());
 
-  // Publish staged mapping entries, children before parents (descending
-  // page id; page ids are allocated monotonically, so a split child always
-  // has a larger id than its parent). This guarantees an RO node never
-  // observes a parent's post-split image while the child image is missing.
   std::vector<StagedImage> staged;
   {
     MutexLock lock(&staged_mu_);
     staged.swap(staged_);
   }
-  std::sort(staged.begin(), staged.end(),
-            [](const StagedImage& a, const StagedImage& b) {
-              return a.page > b.page;
-            });
-  // Deduplicate: keep only the newest image per page (a page may flush
-  // multiple times between groups via GC relocation).
-  for (auto it = staged.begin(); it != staged.end();) {
-    auto next = it + 1;
-    if (next != staged.end() && next->tree == it->tree &&
-        next->page == it->page) {
-      // Same page: keep the entry with the larger flushed_lsn.
-      if (next->meta.flushed_lsn < it->meta.flushed_lsn) *next = *it;
-      it = staged.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  OrderForPublication(&staged);
   for (const StagedImage& s : staged) {
     store_->ManifestPut(PageImageKey(s.tree, s.page), s.meta.Encode());
   }

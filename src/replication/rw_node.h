@@ -2,10 +2,7 @@
 #define BG3_REPLICATION_RW_NODE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "bwtree/bwtree.h"
@@ -38,15 +35,6 @@ struct RwNodeOptions {
   /// growing the backlog without bound — reads keep serving from memory.
   /// 0 disables the watermark (historical behavior).
   size_t wal_backlog_watermark = 0;
-
-  /// Run threshold-triggered group flushes on a dedicated background thread
-  /// (the paper's "flushed by a background thread"), unifying them with the
-  /// WAL pipeline's off-caller-thread I/O: a Put/Delete that crosses the
-  /// dirty threshold just signals the flusher and returns, instead of
-  /// paying the page-flush + publication round trip inline. Explicit
-  /// FlushGroup()/CommitCheckpoint() calls stay synchronous. Off by default
-  /// (historical inline behavior, which deterministic tests rely on).
-  bool async_group_flush = false;
 };
 
 /// The Read/Write node of BG3's write-once read-many architecture (§3.4,
@@ -58,10 +46,6 @@ struct RwNodeOptions {
 class RwNode : public bwtree::TreeListener {
  public:
   RwNode(cloud::CloudStore* store, const RwNodeOptions& options);
-  /// Joins the background group flusher (async_group_flush), running any
-  /// signalled-but-unstarted flush first. WAL teardown (and its loss
-  /// surface) is the WalWriter destructor's.
-  ~RwNode();
 
   /// Crash recovery: rebuilds an RW node purely from shared storage — the
   /// published mapping-table images plus WAL replay (the same machinery RO
@@ -101,12 +85,8 @@ class RwNode : public bwtree::TreeListener {
   /// records until the next group flush rewrites the tail; monitor it.
   uint64_t wal_append_errors() const { return wal_append_errors_.Get(); }
 
-  /// Flushes a dirty-page group if the threshold is reached (with
-  /// async_group_flush: signals the background flusher and returns).
+  /// Flushes a dirty-page group if the threshold is reached.
   Status MaybeFlushGroup();
-  /// Group flushes handed to the background flusher / failed there.
-  uint64_t async_flushes() const { return async_flushes_.Get(); }
-  uint64_t async_flush_errors() const { return async_flush_errors_.Get(); }
   /// Flushes all dirty pages, publishes their mapping entries (children
   /// before parents) and appends the checkpoint WAL record.
   Status FlushGroup();
@@ -162,12 +142,6 @@ class RwNode : public bwtree::TreeListener {
                      bool has_high_key) override;
 
  private:
-  struct StagedImage {
-    bwtree::TreeId tree;
-    bwtree::PageId page;
-    PageImageMeta meta;
-  };
-
   struct BootstrapTag {};
   RwNode(BootstrapTag, cloud::CloudStore* store, const RwNodeOptions& options);
 
@@ -196,19 +170,8 @@ class RwNode : public bwtree::TreeListener {
 
   std::atomic<bwtree::Lsn> last_checkpoint_{0};
 
-  // Background group flusher (async_group_flush). Plain std::mutex: it only
-  // guards the signal flags and never nests inside ranked locks.
-  void FlusherMain();
-  std::mutex flusher_mu_;
-  std::condition_variable flusher_cv_;
-  bool flusher_stop_ = false;
-  bool flush_requested_ = false;
-  std::thread flusher_;
-
   LightCounter writes_shed_;
   LightCounter wal_append_errors_;
-  LightCounter async_flushes_;
-  LightCounter async_flush_errors_;
 };
 
 }  // namespace bg3::replication

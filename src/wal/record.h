@@ -46,23 +46,23 @@ struct WalRecord {
   static Status DecodeFrom(Slice* input, WalRecord* out);
 };
 
-/// Identity of one appended batch under the pipelined writer. Terms are
-/// writer incarnations (process-unique, strictly increasing across
-/// restarts); within a term, seq numbers batches 1, 2, 3, ... in seal
-/// order. Out-of-order *physical* placement (parallel in-flight appends,
-/// late retries) is undone by readers using (term, seq); commit
-/// acknowledgment is contiguous-seq order, so `seq` here always names a
-/// durable prefix of the term.
+/// Identity of one appended batch. Terms are writer incarnations
+/// (process-unique, strictly increasing across restarts); within a term,
+/// seq numbers batches 1, 2, 3, ... in seal order. Out-of-order *physical*
+/// placement (parallel in-flight appends, late retries) is undone by readers
+/// using (term, seq); commit acknowledgment is contiguous-seq order, so
+/// `seq` here always names a durable prefix of the term.
 struct BatchHeader {
   uint64_t term = 0;
-  uint64_t seq = 0;  ///< 0 = legacy v1 batch (no framing).
+  uint64_t seq = 0;
 };
 
 /// A resumable WAL position: the physical pointer bounds the byte scan
 /// (TailRecords seeks past it) and (term, seq) bounds redelivery — batches
 /// at or below `seq` of `term` that physically land after `ptr` (late
-/// retries) are duplicates and get dropped by the reader. Flows through
-/// checkpoint manifests into `WalReader::SeekTo`.
+/// retries) are duplicates and get dropped by the reader. Flows from
+/// `WalWriter::committed_cursor` through checkpoint manifests into
+/// `WalReader::SeekTo`.
 struct WalCursor {
   cloud::PagePointer ptr;
   uint64_t term = 0;
@@ -71,22 +71,21 @@ struct WalCursor {
   bool IsNull() const { return ptr.IsNull() && term == 0 && seq == 0; }
 };
 
-/// Legacy v1 batch framing: [count v32] (length-prefixed WalRecord)*.
-std::string EncodeBatch(const std::vector<WalRecord>& records);
-Status DecodeBatch(Slice input, std::vector<WalRecord>* out);
+/// Leading byte of every batch; any other value is Corruption.
+inline constexpr char kBatchFormat = 0x00;
 
-/// v2 framing prepends [0x00][term v64][seq v64][crc32 fixed32] to the v1
-/// body; the CRC covers the body only. The 0x00 marker can never open a v1
-/// batch — v1 starts with a varint record count and empty batches are never
-/// appended — so readers accept both formats from one stream.
+/// Batch wire format: [kBatchFormat][term v64][seq v64][crc32 fixed32]
+/// [count v32] (length-prefixed WalRecord)*. The CRC covers everything after
+/// it (the record count and the records).
 std::string EncodeFramedBatch(uint64_t term, uint64_t seq,
                               const std::vector<WalRecord>& records);
 
-/// Decodes either framing. v1 input yields header {0, 0}. A v2 frame whose
-/// CRC does not match its body fails with Corruption (torn or bit-flipped
-/// payloads that slipped past the substrate's record CRC).
-Status DecodeAnyBatch(Slice input, BatchHeader* header,
-                      std::vector<WalRecord>* out);
+/// Decodes one batch into `header` and appends its records to `out`. A
+/// wrong format byte, zero term or seq, or a CRC that does not match the
+/// body (torn or bit-flipped payloads that slipped past the substrate's
+/// record CRC) fails with Corruption.
+Status DecodeFramedBatch(Slice input, BatchHeader* header,
+                         std::vector<WalRecord>* out);
 
 }  // namespace bg3::wal
 

@@ -23,9 +23,9 @@ bool PhysicallyAfter(const cloud::PagePointer& a, const cloud::PagePointer& b) {
   return a.offset > b.offset;
 }
 
-/// Size of the v1 batch body EncodeBatch would produce for `records` with
-/// their current field values — the basis for the simulated append latency
-/// (computed before latency stamping, matching the legacy probe encode).
+/// Size of the batch body (record count plus length-prefixed records) for
+/// `records` with their current field values — the basis for the simulated
+/// append latency (computed before latency stamping).
 size_t BatchBodySize(const std::vector<WalRecord>& records) {
   size_t n = VarintLength(records.size());
   for (const WalRecord& r : records) {
@@ -35,8 +35,8 @@ size_t BatchBodySize(const std::vector<WalRecord>& records) {
   return n;
 }
 
-/// Exact wire size of EncodeFramedBatch(term, seq, records): the v2 frame
-/// (marker byte, term and seq varints, fixed32 crc) plus the v1 body.
+/// Exact wire size of EncodeFramedBatch(term, seq, records): the frame
+/// (format byte, term and seq varints, fixed32 crc) plus the body.
 size_t FramedBatchSize(uint64_t term, uint64_t seq,
                        const std::vector<WalRecord>& records) {
   return 1 + VarintLength(term) + VarintLength(seq) + 4 +
@@ -129,7 +129,6 @@ Status WalWriter::Append(WalRecord record, const OpContext* ctx) {
   }
   if (sealed == 0) return Status::OK();
   led_cv_.notify_all();
-  if (!opts_.commit_wait_on_seal) return Status::OK();
   // Earlier parked batches get a fresh shot (the legacy flush re-appended
   // the whole buffer, failed records included), but never the batch this
   // call just sealed — that one gets exactly its retry policy, and its
@@ -289,7 +288,6 @@ void WalWriter::OnAppendComplete(cloud::AppendPipeline::Completion done) {
     } else {
       if (PhysicallyAfter(done.ptr, max_physical_ptr_)) {
         max_physical_ptr_ = done.ptr;
-        physical_ptr_.Write(max_physical_ptr_);
       }
       pending_.emplace(done.seq, std::make_pair(done.ptr, done.record_count));
       while (!pending_.empty() &&
@@ -422,7 +420,7 @@ Status WalWriter::FlushLocked(const OpContext* ctx) {
   retry.breaker = &store_->breaker();
   uint64_t latency_us = 0;
   auto res = RetryResultWithBackoff(retry, [&] {
-    return store_->AppendFenced(opts_.stream, term_, batch, &latency_us, ctx);
+    return store_->Append(opts_.stream, batch, &latency_us, ctx, term_);
   });
   if (res.status().IsFenced()) {
     // Deposed mid-flush: latch the fence (sync mode keeps the records
@@ -439,10 +437,7 @@ Status WalWriter::FlushLocked(const OpContext* ctx) {
         static_cast<uint64_t>(latency_us * opts_.wall_latency_scale)));
   }
   ++sync_seq_;
-  last_append_ptr_sync_ = res.value();
-  physical_ptr_.Write(last_append_ptr_sync_);
-  committed_cursor_.Write(
-      WalCursor{last_append_ptr_sync_, term_, sync_seq_});
+  committed_cursor_.Write(WalCursor{res.value(), term_, sync_seq_});
   batches_.Inc();
   records_.Add(buffer_.size());
   buffer_.clear();

@@ -60,13 +60,6 @@ struct WalWriterOptions {
   WalWriterMode mode = WalWriterMode::kPipelined;
   /// Cloud appends allowed in flight at once (pipelined mode).
   size_t inflight_appends = 4;
-  /// When true (the default), an Append that seals a batch blocks until
-  /// that batch acknowledges — group-commit semantics identical to kSync:
-  /// returning OK means the record (and everything before it) is durable,
-  /// and a failed append surfaces on the sealing call with the records
-  /// still buffered. Set false for fully asynchronous enqueue; callers
-  /// then order durability themselves via WaitCommitted/Flush.
-  bool commit_wait_on_seal = true;
   /// Forwarded to the append pipeline: sleep `simulated latency * scale`
   /// wall time per append so latency benches see real queueing. 0 = off.
   double wall_latency_scale = 0.0;
@@ -113,12 +106,13 @@ class WalWriter {
   WalWriter& operator=(const WalWriter&) = delete;
 
   /// Buffers one record; seals a batch once group_size is reached. Records
-  /// become visible to readers only after their batch is appended. With
-  /// commit_wait_on_seal (default) the sealing call blocks for its batch's
-  /// in-order acknowledgment — so this returns exactly what the legacy
-  /// inline flush returned; otherwise it is a memory-only enqueue. The
-  /// optional OpContext deadline bounds the acknowledgment wait (sync mode:
-  /// rides the batch append's retry loop).
+  /// become visible to readers only after their batch is appended. The
+  /// sealing call blocks for its batch's in-order acknowledgment — group
+  /// commit with the same contract in both modes: OK means the record (and
+  /// everything before it) is durable, and a failed append surfaces on the
+  /// sealing call with the records still buffered. For a memory-only
+  /// enqueue use AppendAsync. The optional OpContext deadline bounds the
+  /// acknowledgment wait (sync mode: rides the batch append's retry loop).
   BG3_BLOCKING Status Append(WalRecord record, const OpContext* ctx = nullptr);
 
   /// Memory-only enqueue, never blocks on I/O or acknowledgment (pipelined
@@ -153,12 +147,6 @@ class WalWriter {
 
   /// Records durably acknowledged (in enqueue order). Lock-free.
   uint64_t committed_records() const { return sequencer_.current(); }
-
-  /// Physical location of the furthest successful append (null before the
-  /// first). Lock-free (seqlock); in pipelined mode this can run ahead of
-  /// the committed prefix — use committed_cursor() for anything that must
-  /// name a durable, gap-free log position.
-  cloud::PagePointer last_append_ptr() const { return physical_ptr_.Read(); }
 
   /// The safe resume point: every batch with seq > cursor.seq is physically
   /// at or after cursor.ptr, and everything at or below cursor.seq is
@@ -238,7 +226,6 @@ class WalWriter {
   uint64_t zombie_drained_ = 0;    ///< records dropped post-fence; led_mu_.
 
   CommitSequencer sequencer_;
-  SeqLock<cloud::PagePointer> physical_ptr_;
   SeqLock<WalCursor> committed_cursor_;
 
   Random rng_;  ///< serializer-owned in pipelined mode; under mu_ in sync.
@@ -248,9 +235,7 @@ class WalWriter {
   std::unique_ptr<cloud::AppendPipeline> pipeline_;
   std::thread serializer_;
 
-  // Sync mode keeps everything under mu_.
-  cloud::PagePointer last_append_ptr_sync_;
-  uint64_t sync_seq_ = 0;
+  uint64_t sync_seq_ = 0;  ///< sync mode: last appended seq; under mu_.
 };
 
 }  // namespace bg3::wal

@@ -46,42 +46,46 @@ wal::WalRecord Mutation(bwtree::Lsn lsn, const std::string& key,
 
 // --- stream-level term fencing ------------------------------------------------
 
-TEST(StreamFencingTest, AppendFencedRejectsStaleTerms) {
+TEST(StreamFencingTest, AppendRejectsStaleTerms) {
   cloud::CloudStore store;
   const cloud::StreamId s = store.CreateStream("wal");
   // Unfenced: any term passes, term is not interpreted.
-  ASSERT_TRUE(store.AppendFenced(s, 1, "a").ok());
-  ASSERT_TRUE(store.AppendFenced(s, 99, "b").ok());
+  ASSERT_TRUE(store.Append(s, "a", nullptr, nullptr, /*term=*/1).ok());
+  ASSERT_TRUE(store.Append(s, "b", nullptr, nullptr, /*term=*/99).ok());
+  ASSERT_TRUE(store.Append(s, "plain").ok());  // default term 0
 
   store.FenceStream(s, 5);
   EXPECT_EQ(store.StreamFenceTerm(s), 5u);
-  EXPECT_TRUE(store.AppendFenced(s, 4, "stale").status().IsFenced());
-  EXPECT_TRUE(store.AppendFenced(s, 5, "exact").ok());
-  EXPECT_TRUE(store.AppendFenced(s, 6, "newer").ok());
-  // Term 0 marks a legacy (pre-fencing) writer: rejected once fenced.
-  EXPECT_TRUE(store.AppendFenced(s, 0, "legacy").status().IsFenced());
-  // Plain appends never participate in fencing (page-flush / GC streams).
-  EXPECT_TRUE(store.Append(s, "plain").ok());
+  EXPECT_TRUE(
+      store.Append(s, "stale", nullptr, nullptr, 4).status().IsFenced());
+  EXPECT_TRUE(store.Append(s, "exact", nullptr, nullptr, 5).ok());
+  EXPECT_TRUE(store.Append(s, "newer", nullptr, nullptr, 6).ok());
+  // Term 0 is just the lowest term: rejected once the stream is fenced,
+  // whether passed explicitly or by default.
+  EXPECT_TRUE(
+      store.Append(s, "zero", nullptr, nullptr, 0).status().IsFenced());
+  EXPECT_TRUE(store.Append(s, "plain").status().IsFenced());
 
   // The fence only ratchets up.
   store.FenceStream(s, 3);
   EXPECT_EQ(store.StreamFenceTerm(s), 5u);
   store.FenceStream(s, 8);
   EXPECT_EQ(store.StreamFenceTerm(s), 8u);
-  EXPECT_TRUE(store.AppendFenced(s, 5, "now stale").status().IsFenced());
+  EXPECT_TRUE(
+      store.Append(s, "now stale", nullptr, nullptr, 5).status().IsFenced());
 }
 
 TEST(StreamFencingTest, FencedRejectionIsNotRetryableAndNotABreakerError) {
   cloud::CloudStore store;
   const cloud::StreamId s = store.CreateStream("wal");
   store.FenceStream(s, 10);
-  const Status fenced = store.AppendFenced(s, 2, "x").status();
+  const Status fenced = store.Append(s, "x", nullptr, nullptr, 2).status();
   ASSERT_TRUE(fenced.IsFenced());
   EXPECT_FALSE(IsRetryableError(RetryOptions{}, fenced));
   // A healthy substrate correctly rejecting a deposed writer must not open
   // the circuit breaker: hammer the fence, then check a fresh stream works.
   for (int i = 0; i < 200; ++i) {
-    EXPECT_TRUE(store.AppendFenced(s, 2, "x").status().IsFenced());
+    EXPECT_TRUE(store.Append(s, "x", nullptr, nullptr, 2).status().IsFenced());
   }
   EXPECT_TRUE(store.Append(store.CreateStream("other"), "ok").ok());
 }

@@ -8,6 +8,7 @@
 
 #include "cloud/cloud_store.h"
 #include "replication/channel.h"
+#include "replication/checkpoint.h"
 #include "replication/forwarding.h"
 #include "replication/page_image.h"
 #include "replication/ro_node.h"
@@ -67,6 +68,78 @@ TEST(PageImageMetaTest, RoundTrip) {
 TEST(PageImageMetaTest, KeyIsPerTreeAndPage) {
   EXPECT_NE(PageImageKey(1, 2), PageImageKey(2, 1));
   EXPECT_EQ(PageImageKey(1, 2), PageImageKey(1, 2));
+}
+
+// Two trees may number their pages independently (the GraphDB vertex tree
+// and the forest), and a checkpoint round and a GC relocation can both
+// stage one page: publication keys on (tree, page) and keeps the newest
+// image, whatever order the images were staged in. Within a tree, children
+// (larger page ids) publish before parents.
+TEST(PageImageMetaTest, PublicationKeepsNewestImagePerTreeAndPage) {
+  const bwtree::TreeId kA = 1, kB = 2;
+  auto staged_image = [](bwtree::TreeId tree, bwtree::PageId page,
+                         bwtree::Lsn lsn) {
+    StagedImage s;
+    s.tree = tree;
+    s.page = page;
+    s.meta.flushed_lsn = lsn;
+    return s;
+  };
+  std::vector<StagedImage> staged = {
+      staged_image(kA, 5, 20), staged_image(kB, 5, 1),
+      staged_image(kA, 5, 10), staged_image(kA, 9, 3)};
+  OrderForPublication(&staged);
+  ASSERT_EQ(staged.size(), 3u);
+  EXPECT_EQ(staged[0].page, 9u);
+  EXPECT_EQ(staged[1].page, 5u);
+  EXPECT_EQ(staged[1].tree, kA);
+  EXPECT_EQ(staged[2].tree, kB);
+
+  cloud::CloudStore store;
+  for (const StagedImage& s : staged) {
+    store.ManifestPut(PageImageKey(s.tree, s.page), s.meta.Encode());
+  }
+  auto read = [&](bwtree::TreeId tree) {
+    PageImageMeta meta;
+    EXPECT_TRUE(PageImageMeta::Decode(
+                    Slice(store.ManifestGet(PageImageKey(tree, 5)).value()),
+                    &meta)
+                    .ok());
+    return meta.flushed_lsn;
+  };
+  EXPECT_EQ(read(kA), 20u);
+  EXPECT_EQ(read(kB), 1u);
+}
+
+// --- checkpoint manifest ------------------------------------------------------------
+
+TEST(CheckpointManifestTest, RoundTripCarriesWalCursor) {
+  CheckpointManifest m;
+  m.epoch = 4;
+  m.wal_stream = 2;
+  m.wal_cursor = wal::WalCursor{{2, 17, 4096, 311}, 9, 123};
+  m.checkpoint_lsn = 5000;
+  m.trees.push_back({1, 5000});
+  m.owners.push_back({42, 3, 77});
+  CheckpointManifest out;
+  ASSERT_TRUE(CheckpointManifest::Decode(Slice(m.Encode()), &out).ok());
+  EXPECT_EQ(out.epoch, 4u);
+  EXPECT_EQ(out.wal_stream, 2u);
+  EXPECT_EQ(out.wal_cursor.ptr, m.wal_cursor.ptr);
+  EXPECT_EQ(out.wal_cursor.term, 9u);
+  EXPECT_EQ(out.wal_cursor.seq, 123u);
+  EXPECT_EQ(out.checkpoint_lsn, 5000u);
+  ASSERT_EQ(out.trees.size(), 1u);
+  EXPECT_EQ(out.trees[0].flushed_lsn, 5000u);
+  ASSERT_EQ(out.owners.size(), 1u);
+  EXPECT_EQ(out.owners[0].entry_count, 77u);
+
+  // The cursor sits inside the CRC-covered body: a truncated encoding no
+  // longer decodes.
+  const std::string enc = m.Encode();
+  EXPECT_TRUE(CheckpointManifest::Decode(Slice(enc.data(), enc.size() - 1),
+                                         &out)
+                  .IsCorruption());
 }
 
 // --- lossy channel -----------------------------------------------------------------

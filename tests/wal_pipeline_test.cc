@@ -67,7 +67,6 @@ WalWriterOptions PipelinedOptions(cloud::StreamId stream, Random& rng) {
   WalWriterOptions w;
   w.stream = stream;
   w.mode = WalWriterMode::kPipelined;
-  w.commit_wait_on_seal = false;  // fully async enqueue.
   w.group_size = 1 + rng.Uniform(3);
   w.group_window_us = 0;
   w.inflight_appends = 2 + rng.Uniform(3);  // 2..4 parallel appends.

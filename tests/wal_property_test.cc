@@ -83,7 +83,7 @@ TEST(WalPropertyTest, TornTailYieldsExactlyCommittedPrefix) {
         n % w.group_size == 0 ? w.group_size : n % w.group_size;
     const size_t committed = n - last_batch;
     ASSERT_TRUE(store.CorruptRecordForTesting(
-        writer.last_append_ptr(), static_cast<uint32_t>(rng.Uniform(8))));
+        writer.committed_cursor().ptr, static_cast<uint32_t>(rng.Uniform(8))));
 
     WalReader reader(&store, w.stream);
     auto records = reader.Poll();

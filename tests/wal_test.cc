@@ -83,17 +83,32 @@ TEST(WalRecordTest, RejectsGarbage) {
 TEST(WalBatchTest, RoundTripMultipleRecords) {
   std::vector<WalRecord> records = {Mutation(1, "a", "1"), Mutation(2, "b", "2"),
                                     Mutation(3, "c", "3")};
-  const std::string batch = EncodeBatch(records);
+  const std::string batch = EncodeFramedBatch(7, 3, records);
+  BatchHeader header;
   std::vector<WalRecord> out;
-  ASSERT_TRUE(DecodeBatch(Slice(batch), &out).ok());
+  ASSERT_TRUE(DecodeFramedBatch(Slice(batch), &header, &out).ok());
+  EXPECT_EQ(header.term, 7u);
+  EXPECT_EQ(header.seq, 3u);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[2].entry.key, "c");
 }
 
 TEST(WalBatchTest, EmptyBatch) {
-  const std::string batch = EncodeBatch({});
+  const std::string batch = EncodeFramedBatch(1, 1, {});
+  BatchHeader header;
   std::vector<WalRecord> out;
-  ASSERT_TRUE(DecodeBatch(Slice(batch), &out).ok());
+  ASSERT_TRUE(DecodeFramedBatch(Slice(batch), &header, &out).ok());
+  EXPECT_EQ(header.seq, 1u);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(WalBatchTest, WrongFormatByteIsCorruption) {
+  std::string batch = EncodeFramedBatch(1, 1, {Mutation(1, "a", "1")});
+  ASSERT_EQ(batch[0], kBatchFormat);
+  batch[0] = 0x01;
+  BatchHeader header;
+  std::vector<WalRecord> out;
+  EXPECT_TRUE(DecodeFramedBatch(Slice(batch), &header, &out).IsCorruption());
   EXPECT_TRUE(out.empty());
 }
 
@@ -188,14 +203,14 @@ TEST(WalReaderTest, OrderPreservedAcrossManyBatches) {
 namespace bg3::wal {
 namespace {
 
-TEST(WalWriterTest, LastAppendPtrAdvances) {
+TEST(WalWriterTest, CommittedCursorAdvances) {
   WalFixture f(/*group_size=*/1);
-  EXPECT_TRUE(f.writer->last_append_ptr().IsNull());
+  EXPECT_TRUE(f.writer->committed_cursor().ptr.IsNull());
   ASSERT_TRUE(f.writer->Append(Mutation(1, "a", "1")).ok());
-  const cloud::PagePointer p1 = f.writer->last_append_ptr();
+  const cloud::PagePointer p1 = f.writer->committed_cursor().ptr;
   EXPECT_FALSE(p1.IsNull());
   ASSERT_TRUE(f.writer->Append(Mutation(2, "b", "2")).ok());
-  const cloud::PagePointer p2 = f.writer->last_append_ptr();
+  const cloud::PagePointer p2 = f.writer->committed_cursor().ptr;
   EXPECT_FALSE(p1 == p2);
 }
 
@@ -205,7 +220,18 @@ TEST(WalReaderTest, CursorTracksConsumption) {
   ASSERT_TRUE(f.writer->Append(Mutation(1, "a", "1")).ok());
   BG3_IGNORE_STATUS(f.reader->Poll());
   EXPECT_FALSE(f.reader->cursor().IsNull());
-  EXPECT_TRUE(f.reader->cursor() == f.writer->last_append_ptr());
+  EXPECT_TRUE(f.reader->cursor() == f.writer->committed_cursor().ptr);
+}
+
+// A batch that is not in the one framed format is Corruption, and the
+// reader surfaces it rather than skipping the batch.
+TEST(WalReaderTest, PollSurfacesWrongFormatByte) {
+  WalFixture f;
+  std::string bad = EncodeFramedBatch(1, 1, {Mutation(1, "a", "1")});
+  bad[0] = 0x01;
+  ASSERT_TRUE(f.store->Append(0, bad).ok());
+  auto records = f.reader->Poll();
+  EXPECT_TRUE(records.status().IsCorruption()) << records.status().ToString();
 }
 
 // --- SeekTo: suffix-bounded recovery entry point ------------------------------
@@ -215,7 +241,7 @@ TEST(WalReaderTest, SeekToReturnsOnlySuffixBatches) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(f.writer->Append(Mutation(i, "k" + std::to_string(i), "v")).ok());
   }
-  const cloud::PagePointer cursor = f.writer->last_append_ptr();
+  const WalCursor cursor = f.writer->committed_cursor();
   for (int i = 10; i < 15; ++i) {
     ASSERT_TRUE(f.writer->Append(Mutation(i, "k" + std::to_string(i), "v")).ok());
   }
@@ -233,7 +259,7 @@ TEST(WalReaderTest, SeekToConsumesOnlySuffixBytes) {
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(f.writer->Append(Mutation(i, "key", "payload-payload")).ok());
   }
-  const cloud::PagePointer cursor = f.writer->last_append_ptr();
+  const WalCursor cursor = f.writer->committed_cursor();
   for (int i = 100; i < 110; ++i) {
     ASSERT_TRUE(f.writer->Append(Mutation(i, "key", "payload-payload")).ok());
   }
@@ -260,7 +286,7 @@ TEST(WalReaderTest, SeekToLsnFloorFiltersCoveredMutations) {
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(f.writer->Append(Mutation(i, "pre" + std::to_string(i), "v")).ok());
   }
-  const cloud::PagePointer cursor = f.writer->last_append_ptr();
+  const WalCursor cursor = f.writer->committed_cursor();
   WalRecord split;
   split.type = WalRecord::Type::kSplit;
   split.tree_id = 1;
@@ -293,7 +319,7 @@ TEST(WalReaderTest, SeekToNullCursorIsFullReplay) {
     ASSERT_TRUE(f.writer->Append(Mutation(i, "k", "v")).ok());
   }
   WalReader seeked(f.store.get(), 0);
-  seeked.SeekTo(cloud::PagePointer{});  // no checkpoint: replay everything
+  seeked.SeekTo(WalCursor{});  // no checkpoint: replay everything
   EXPECT_EQ(seeked.Poll().value().size(), 5u);
 }
 
@@ -302,12 +328,12 @@ TEST(WalReaderTest, SeekToThenPollTracksCursorForTruncation) {
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(f.writer->Append(Mutation(i, "k", "v")).ok());
   }
-  const cloud::PagePointer cursor = f.writer->last_append_ptr();
+  const WalCursor cursor = f.writer->committed_cursor();
   ASSERT_TRUE(f.writer->Append(Mutation(8, "tail", "v")).ok());
   WalReader seeked(f.store.get(), 0);
   seeked.SeekTo(cursor);
   BG3_IGNORE_STATUS(seeked.Poll());
-  EXPECT_TRUE(seeked.cursor() == f.writer->last_append_ptr());
+  EXPECT_TRUE(seeked.cursor() == f.writer->committed_cursor().ptr);
   // Further appends flow normally after the seek-primed first poll.
   ASSERT_TRUE(f.writer->Append(Mutation(9, "more", "v")).ok());
   EXPECT_EQ(seeked.Poll().value().size(), 1u);
