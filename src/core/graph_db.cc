@@ -26,6 +26,10 @@ AdmissionOptions AdmissionWithDbClock(AdmissionOptions a,
 /// stay off the per-op fast path.
 constexpr uint64_t kWritesPerOverloadRefresh = 256;
 
+/// Restored pages each maintenance tick rewarms (the restore-priority queue
+/// drain rate; demand reads warm their own pages regardless).
+constexpr size_t kWarmPagesPerTick = 32;
+
 }  // namespace
 
 bwtree::BwTree* GraphDB::ResolverImpl::Resolve(bwtree::TreeId id) {
@@ -52,7 +56,7 @@ GraphDB::GraphDB(cloud::CloudStore* store, const GraphDBOptions& options)
   // which trees come up in bootstrap mode with their checkpointed layout.
   replication::CheckpointManifest restore_manifest;
   bool restoring = false;
-  if (opts_.checkpoint.enabled && opts_.checkpoint.restore) {
+  if (opts_.checkpointing) {
     auto loaded = replication::LoadCheckpoint(store_, kCheckpointScope);
     if (loaded.ok()) {
       restore_manifest = std::move(loaded.value().manifest);
@@ -76,13 +80,13 @@ GraphDB::GraphDB(cloud::CloudStore* store, const GraphDBOptions& options)
   // its read must fail rather than reload as empty.
   vertex_opts.tolerate_missing_extents = false;
   vertex_opts.tick_source = &access_tick_;
-  if (opts_.checkpoint.enabled) {
-    // Checkpointing owns durability: writes stay in memory and the cycle's
+  if (opts_.checkpointing) {
+    // Checkpointing owns durability: writes stay in memory and the cut's
     // bounded flush rounds persist them (the staged images publish through
     // image_listener_).
     vertex_opts.flush_mode = bwtree::FlushMode::kDeferred;
     vertex_opts.listener = &image_listener_;
-    vertex_opts.lsn_source = &vertex_lsn_;
+    vertex_opts.lsn_source = &lsn_;
   }
   vertex_opts.bootstrap = !vertex_pages.empty();
   vertex_tree_ = std::make_unique<bwtree::BwTree>(store_, vertex_opts);
@@ -107,9 +111,10 @@ GraphDB::GraphDB(cloud::CloudStore* store, const GraphDBOptions& options)
   forest_opts.tree_options.delta_stream = delta_stream_;
   forest_opts.tree_options.tolerate_missing_extents = opts_.edge_ttl_us != 0;
   forest_opts.tree_options.tick_source = &access_tick_;
-  if (opts_.checkpoint.enabled) {
+  if (opts_.checkpointing) {
     forest_opts.tree_options.flush_mode = bwtree::FlushMode::kDeferred;
     forest_opts.tree_options.listener = &image_listener_;
+    forest_opts.tree_options.lsn_source = &lsn_;
   }
   std::vector<bwtree::RecoveredPage> init_pages;
   if (restoring) init_pages = LoadTreeImages(0);
@@ -150,10 +155,6 @@ GraphDB::GraphDB(cloud::CloudStore* store, const GraphDBOptions& options)
                            &forest_->stats().split_outs);
   reg.RegisterLightCounter(metrics_prefix_ + "forest.evictions",
                            &forest_->stats().evictions);
-  reg.RegisterLightCounter(metrics_prefix_ + "checkpoint.pages_flushed",
-                           &ckpt_pages_flushed_);
-  reg.RegisterLightCounter(metrics_prefix_ + "checkpoint.manifests_written",
-                           &ckpt_manifests_written_);
   reg.RegisterLightCounter(metrics_prefix_ + "checkpoint.replay_bytes",
                            &ckpt_replay_bytes_);
   reg.RegisterCallback(metrics_prefix_ + "forest.tree_count",
@@ -232,13 +233,21 @@ GraphDB::GraphDB(cloud::CloudStore* store, const GraphDBOptions& options)
                    s.ToString().c_str());
     }
   }
+
+  // Last: the checkpointer continues the epoch of the manifest restored
+  // above, and its first cut may touch every tree.
+  if (opts_.checkpointing) {
+    replication::CheckpointSource* source = this;
+    checkpointer_ = std::make_unique<replication::Checkpointer>(
+        store_, source, opts_.checkpointer);
+  }
 }
 
 GraphDB::~GraphDB() {
   // Stop serving before engine teardown so no handler renders metrics while
   // callbacks registered against this instance are being torn down.
   debug_server_.Stop();
-  StopCheckpointing();
+  checkpointer_.reset();
   StopMaintenance();
   MetricsRegistry::Default().DeregisterPrefix(metrics_prefix_);
   store_->SetObserver(nullptr);
@@ -255,8 +264,10 @@ void GraphDB::StartMaintenance(uint64_t interval_ms) {
                          [this] { return maint_stop_; });
       if (maint_stop_) return;
       lock.unlock();
-      // Best-effort background cycle; failures surface via gc stats and the
-      // next foreground RunGcCycle caller.
+      // Best-effort background work: restore warming first (time-to-full-
+      // QPS), then GC. Failures keep the warm queue for the next tick and
+      // surface via gc stats and the next foreground RunGcCycle caller.
+      BG3_IGNORE_STATUS(WarmRestoredPages(kWarmPagesPerTick).status());
       BG3_IGNORE_STATUS(RunGcCycle());
       lock.lock();
     }
@@ -281,19 +292,13 @@ void GraphDB::ImageListener::OnPageFlushed(
     const std::vector<cloud::PagePointer>& delta_ptrs,
     const std::string& low_key, const std::string& high_key,
     bool has_high_key) {
-  replication::StagedImage staged;
-  staged.tree = tree;
-  staged.page = page;
-  staged.meta.flushed_lsn = flushed_lsn;
-  staged.meta.base_ptr = base_ptr;
-  staged.meta.delta_ptrs = delta_ptrs;
-  staged.meta.low_key = low_key;
-  staged.meta.high_key = high_key;
-  staged.meta.has_high_key = has_high_key;
+  replication::StagedImage staged =
+      replication::StageImage(tree, page, flushed_lsn, base_ptr, delta_ptrs,
+                              low_key, high_key, has_high_key);
   std::lock_guard<std::mutex> lock(db_->staged_mu_);
-  bwtree::Lsn& tree_lsn = db_->ckpt_tree_lsn_[tree];
+  bwtree::Lsn& tree_lsn = db_->tree_lsn_[tree];
   tree_lsn = std::max(tree_lsn, flushed_lsn);
-  db_->ckpt_staged_.push_back(std::move(staged));
+  db_->staged_.push_back(std::move(staged));
 }
 
 std::vector<bwtree::RecoveredPage> GraphDB::LoadTreeImages(
@@ -352,115 +357,65 @@ void GraphDB::RestoreFromManifest(
     }
   }
   // Post-restore mutations must extend the checkpointed LSN order so the
-  // per-page flushed_lsn <= last_lsn invariant holds.
-  forest_->RestoreLsnFloor(manifest.checkpoint_lsn);
-  bwtree::Lsn cur = vertex_lsn_.load(std::memory_order_relaxed);
-  while (cur < manifest.checkpoint_lsn &&
-         !vertex_lsn_.compare_exchange_weak(cur, manifest.checkpoint_lsn,
-                                            std::memory_order_relaxed)) {
+  // per-page flushed_lsn <= last_lsn invariant holds (the constructor runs
+  // before any writer, so no CAS is needed).
+  lsn_.store(std::max(lsn_.load(std::memory_order_relaxed),
+                      manifest.checkpoint_lsn),
+             std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(staged_mu_);
+  for (const auto& t : manifest.trees) {
+    bwtree::Lsn& tree_lsn = tree_lsn_[t.tree_id];
+    tree_lsn = std::max(tree_lsn, t.flushed_lsn);
   }
-  {
-    std::lock_guard<std::mutex> lock(staged_mu_);
-    for (const auto& t : manifest.trees) {
-      bwtree::Lsn& tree_lsn = ckpt_tree_lsn_[t.tree_id];
-      tree_lsn = std::max(tree_lsn, t.flushed_lsn);
-    }
-  }
-  std::lock_guard<std::mutex> lock(ckpt_mu_);
-  ckpt_epoch_ = manifest.epoch;
   restored_from_checkpoint_ = true;
 }
 
-void GraphDB::PublishStagedImages() {
+bool GraphDB::HasStagedImages() const {
+  std::lock_guard<std::mutex> lock(staged_mu_);
+  return !staged_.empty();
+}
+
+Status GraphDB::CaptureCut(replication::FuzzyCut* cut) {
+  // No WAL: the cut is the dirty snapshot across every tree. Pages dirtied
+  // after this point belong to the next cut.
+  std::vector<bwtree::BwTree*> trees;
+  forest_->AppendTrees(&trees);
+  trees.push_back(vertex_tree_.get());
+  for (bwtree::BwTree* t : trees) {
+    for (bwtree::PageId id : t->DirtyPageIds()) {
+      cut->pending.emplace_back(t->options().tree_id, id);
+    }
+  }
+  return Status::OK();
+}
+
+Status GraphDB::FlushCutPage(bwtree::TreeId tree, bwtree::PageId page) {
+  bwtree::BwTree* t = resolver_->Resolve(tree);
+  return t == nullptr ? Status::NotFound("tree gone") : t->FlushPage(page);
+}
+
+Status GraphDB::CommitCheckpoint(const replication::FuzzyCut&,
+                                 replication::CheckpointManifest* manifest) {
   std::vector<replication::StagedImage> staged;
   {
     std::lock_guard<std::mutex> lock(staged_mu_);
-    staged.swap(ckpt_staged_);
+    staged.swap(staged_);
+    manifest->trees.reserve(tree_lsn_.size());
+    for (const auto& [tree_id, lsn] : tree_lsn_) {
+      manifest->trees.push_back(replication::CheckpointTree{tree_id, lsn});
+      // Images may cover mutations past the cut; the restore LSN floor
+      // must clear them all.
+      manifest->checkpoint_lsn = std::max(manifest->checkpoint_lsn, lsn);
+    }
   }
   replication::OrderForPublication(&staged);
   for (const replication::StagedImage& s : staged) {
     store_->ManifestPut(replication::PageImageKey(s.tree, s.page),
                         s.meta.Encode());
   }
-  ckpt_pages_flushed_.Add(staged.size());
-}
-
-Status GraphDB::CheckpointCycle() {
-  if (!opts_.checkpoint.enabled) {
-    return Status::InvalidArgument("checkpointing disabled");
-  }
-  std::lock_guard<std::mutex> lock(ckpt_mu_);
-  return CheckpointCycleLocked();
-}
-
-Status GraphDB::CheckpointCycleLocked() {
-  if (!ckpt_cut_.active) {
-    // Begin a fuzzy cut: snapshot every tree's dirty pages. Writers keep
-    // mutating; pages dirtied after this point belong to the next cut.
-    ckpt_cut_.active = true;
-    ckpt_cut_.pending.clear();
-    ckpt_cut_.next = 0;
-    std::vector<bwtree::BwTree*> trees;
-    forest_->AppendTrees(&trees);
-    trees.push_back(vertex_tree_.get());
-    for (bwtree::BwTree* t : trees) {
-      for (bwtree::PageId id : t->DirtyPageIds()) {
-        ckpt_cut_.pending.emplace_back(t->options().tree_id, id);
-      }
-    }
-    return Status::OK();
-  }
-  // One bounded flush round.
-  size_t budget = opts_.checkpoint.max_pages_per_cycle;
-  while (ckpt_cut_.next < ckpt_cut_.pending.size() && budget > 0) {
-    const auto& [tree_id, page_id] = ckpt_cut_.pending[ckpt_cut_.next];
-    bwtree::BwTree* tree = resolver_->Resolve(tree_id);
-    if (tree != nullptr) {
-      Status s = tree->FlushPage(page_id);
-      // NotFound: the page merged away since the snapshot — nothing to
-      // cover. Any other failure keeps the cut open for retry.
-      if (!s.ok() && !s.IsNotFound()) {
-        PublishStagedImages();
-        return s;
-      }
-    }
-    ++ckpt_cut_.next;
-    --budget;
-  }
-  PublishStagedImages();
-  if (ckpt_cut_.next < ckpt_cut_.pending.size()) return Status::OK();
-  // Cut drained: images first, manifest last — the manifest's promise must
-  // never be readable before the images it promises.
-  replication::CheckpointManifest manifest;
-  manifest.epoch = ckpt_epoch_ + 1;
-  {
-    std::lock_guard<std::mutex> staged_lock(staged_mu_);
-    manifest.trees.reserve(ckpt_tree_lsn_.size());
-    for (const auto& [tree_id, lsn] : ckpt_tree_lsn_) {
-      manifest.trees.push_back(replication::CheckpointTree{tree_id, lsn});
-      manifest.checkpoint_lsn = std::max(manifest.checkpoint_lsn, lsn);
-    }
-  }
   for (const forest::OwnerRecord& rec : forest_->ExportOwners()) {
-    manifest.owners.push_back(
+    manifest->owners.push_back(
         replication::CheckpointOwner{rec.owner, rec.tree_id, rec.entry_count});
-  }
-  BG3_RETURN_IF_ERROR(
-      replication::PublishCheckpoint(store_, kCheckpointScope, manifest));
-  ++ckpt_epoch_;
-  ckpt_manifests_written_.Inc();
-  ckpt_cut_ = CheckpointCut{};
-  return Status::OK();
-}
-
-Status GraphDB::CheckpointNow() {
-  if (!opts_.checkpoint.enabled) {
-    return Status::InvalidArgument("checkpointing disabled");
-  }
-  std::lock_guard<std::mutex> lock(ckpt_mu_);
-  const uint64_t target = ckpt_epoch_ + 1;
-  while (ckpt_epoch_ < target) {
-    BG3_RETURN_IF_ERROR(CheckpointCycleLocked());
   }
   return Status::OK();
 }
@@ -484,46 +439,6 @@ Result<size_t> GraphDB::WarmRestoredPages(size_t max) {
     ++warmed;
   }
   return warm_queue_.size() - warm_next_;
-}
-
-uint64_t GraphDB::checkpoint_epoch() const {
-  std::lock_guard<std::mutex> lock(ckpt_mu_);
-  return ckpt_epoch_;
-}
-
-void GraphDB::StartCheckpointing() {
-  if (!opts_.checkpoint.enabled) return;
-  std::lock_guard<std::mutex> lock(ckpt_thread_mu_);
-  if (ckpt_thread_.joinable()) return;
-  ckpt_stop_ = false;
-  const uint64_t interval_ms = opts_.checkpoint.interval_ms;
-  ckpt_thread_ = std::thread([this, interval_ms] {
-    std::unique_lock<std::mutex> lock(ckpt_thread_mu_);
-    while (!ckpt_stop_) {
-      ckpt_thread_cv_.wait_for(lock, std::chrono::milliseconds(interval_ms),
-                               [this] { return ckpt_stop_; });
-      if (ckpt_stop_) return;
-      lock.unlock();
-      // Restore warming first (time-to-full-QPS), then one checkpoint
-      // increment. Best-effort: failures keep the cut/queue for retry.
-      BG3_IGNORE_STATUS(
-          WarmRestoredPages(opts_.checkpoint.warm_pages_per_cycle).status());
-      BG3_IGNORE_STATUS(CheckpointCycle());
-      lock.lock();
-    }
-  });
-}
-
-void GraphDB::StopCheckpointing() {
-  std::thread joinee;
-  {
-    std::lock_guard<std::mutex> lock(ckpt_thread_mu_);
-    if (!ckpt_thread_.joinable()) return;
-    ckpt_stop_ = true;
-    joinee = std::move(ckpt_thread_);
-  }
-  ckpt_thread_cv_.notify_all();
-  joinee.join();
 }
 
 bool GraphDB::EdgeExpired(graph::TimestampUs created_us) const {

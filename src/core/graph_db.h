@@ -33,7 +33,12 @@ namespace bg3::core {
 ///
 /// One GraphDB installs itself as the CloudStore's observer for extent
 /// usage tracking — create at most one GraphDB per CloudStore.
-class GraphDB : public graph::GraphEngine {
+///
+/// With options.checkpointing, the GraphDB is the "db"-scope
+/// CheckpointSource of its checkpointer(): cuts span every forest tree plus
+/// the vertex tree.
+class GraphDB : public graph::GraphEngine,
+                private replication::CheckpointSource {
  public:
   /// `store` must outlive the GraphDB. Aborts on invalid options (validate
   /// beforehand for graceful handling).
@@ -75,31 +80,20 @@ class GraphDB : public graph::GraphEngine {
   /// for determinism).
   Status RunGcCycle();
 
-  /// Starts a background thread running RunGcCycle every `interval_ms`.
+  /// Starts a background thread that every `interval_ms` warms a bounded
+  /// batch of restored pages (WarmRestoredPages) and runs RunGcCycle.
   /// Idempotent; stopped automatically at destruction.
   void StartMaintenance(uint64_t interval_ms);
   /// Stops the background maintenance thread (blocks until joined).
   void StopMaintenance();
 
   // --- continuous fuzzy checkpointing (DESIGN.md §5.7) ----------------------
-  // Only meaningful with options.checkpoint.enabled: trees run deferred
-  // flushing, and these entry points drive the incremental checkpoint state
-  // machine (begin cut -> bounded flush rounds -> manifest publish).
 
-  /// One bounded increment: begins a cut (snapshotting every tree's dirty
-  /// pages), flushes the next page round, or publishes the "db"-scope
-  /// manifest once the cut drains. Deterministic test entry point; also
-  /// what each background checkpoint tick runs. An I/O failure abandons
-  /// the increment but keeps the cut open for retry.
-  Status CheckpointCycle();
-  /// Drives the current (or a fresh) cut to a durable manifest.
-  Status CheckpointNow();
-
-  /// Starts/stops the decoupled checkpoint thread (cadence from
-  /// options.checkpoint.interval_ms; also drains the restore warm queue).
-  /// Idempotent; stopped automatically at destruction.
-  void StartCheckpointing();
-  void StopCheckpointing();
+  /// The checkpointer driving this DB's "db"-scope cuts (begin cut ->
+  /// bounded flush rounds -> manifest publish): Step/CheckpointNow for
+  /// deterministic control, Start/Stop for the background thread (stopped
+  /// automatically at destruction). Null unless options.checkpointing.
+  replication::Checkpointer* checkpointer() { return checkpointer_.get(); }
 
   /// Warms up to `max` pages off the restore-priority queue (demand reads
   /// warm their own pages concurrently); returns how many queue entries
@@ -112,15 +106,6 @@ class GraphDB : public graph::GraphEngine {
   /// True when the head manifest slot was torn and the previous epoch's
   /// slot was restored instead.
   bool CheckpointFellBack() const { return checkpoint_fell_back_; }
-  /// Epoch of the newest durable manifest (published or restored).
-  uint64_t checkpoint_epoch() const;
-
-  uint64_t checkpoint_pages_flushed() const {
-    return ckpt_pages_flushed_.Get();
-  }
-  uint64_t checkpoint_manifests_written() const {
-    return ckpt_manifests_written_.Get();
-  }
   /// Storage bytes fetched rematerializing restored pages (warm sweep +
   /// nothing else; demand-read fills count through the store's read stats).
   uint64_t checkpoint_replay_bytes() const {
@@ -188,9 +173,9 @@ class GraphDB : public graph::GraphEngine {
   static constexpr bwtree::TreeId kVertexTreeId = 1ull << 62;
 
   /// Stages page images while checkpointing is enabled. Publication is
-  /// deferred to the cycle (children before parents, like the RW node's
-  /// group flush) so a crash mid-cycle can never leave a child-image hole
-  /// inside a published parent range.
+  /// deferred to the checkpoint commit (children before parents, like the
+  /// RW node's group flush) so a crash mid-cut can never leave a
+  /// child-image hole inside a published parent range.
   class ImageListener : public bwtree::TreeListener {
    public:
     explicit ImageListener(GraphDB* db) : db_(db) {}
@@ -210,22 +195,23 @@ class GraphDB : public graph::GraphEngine {
     GraphDB* const db_;
   };
 
-  struct CheckpointCut {
-    bool active = false;
-    /// Dirty snapshot across every tree at cut begin, drained in order.
-    std::vector<std::pair<bwtree::TreeId, bwtree::PageId>> pending;
-    size_t next = 0;
-  };
-
   /// Loads every published page image of `tree` as a demand-paged
   /// (non-resident) recovered layout; empty if any image is unusable (the
   /// caller falls back to a fresh tree).
   std::vector<bwtree::RecoveredPage> LoadTreeImages(bwtree::TreeId tree);
   /// Restores forest/vertex state from `manifest`; called from the ctor.
   void RestoreFromManifest(const replication::CheckpointManifest& manifest);
-  /// Publishes the staged images in replication::OrderForPublication order.
-  void PublishStagedImages();
-  Status CheckpointCycleLocked();
+
+  // --- replication::CheckpointSource ("db" scope) ----------------------------
+  std::string CheckpointScope() const override { return kCheckpointScope; }
+  bwtree::Lsn CurrentLsn() const override {
+    return lsn_.load(std::memory_order_acquire);
+  }
+  bool HasStagedImages() const override;
+  Status CaptureCut(replication::FuzzyCut* cut) override;
+  Status FlushCutPage(bwtree::TreeId tree, bwtree::PageId page) override;
+  Status CommitCheckpoint(const replication::FuzzyCut& cut,
+                          replication::CheckpointManifest* manifest) override;
 
   bool EdgeExpired(graph::TimestampUs created_us) const;
   /// Boundary validation + admission for one public op; on success the
@@ -273,27 +259,23 @@ class GraphDB : public graph::GraphEngine {
   bool maint_stop_ = false;
   std::thread maint_thread_;
 
-  // --- checkpoint state (options.checkpoint.enabled) ------------------------
+  // --- checkpoint state (options.checkpointing) ----------------------------
 
   ImageListener image_listener_{this};
-  /// LSN source of the vertex tree; restored past the checkpoint LSN so
-  /// post-restore mutations keep flushed_lsn <= last_lsn per page.
-  std::atomic<bwtree::Lsn> vertex_lsn_{0};
-
-  /// Serializes checkpoint cycles; plain std::mutex (like maint_mu_) — it
-  /// never nests inside ranked locks.
-  mutable std::mutex ckpt_mu_;
-  CheckpointCut ckpt_cut_;   // guarded by ckpt_mu_
-  uint64_t ckpt_epoch_ = 0;  // guarded by ckpt_mu_
+  /// LSN source shared by every tree while checkpointing, so one counter
+  /// orders the whole DB (the cut's capture point); restored past the
+  /// checkpoint LSN so post-restore mutations keep flushed_lsn <= last_lsn
+  /// per page.
+  std::atomic<bwtree::Lsn> lsn_{0};
 
   /// Images staged by OnPageFlushed (called under the flushing leaf's
-  /// latch) awaiting ordered publication by the cycle.
-  std::mutex staged_mu_;
-  std::vector<replication::StagedImage> ckpt_staged_;
-  std::unordered_map<bwtree::TreeId, bwtree::Lsn> ckpt_tree_lsn_;
+  /// latch) awaiting ordered publication by the checkpoint commit.
+  mutable std::mutex staged_mu_;
+  std::vector<replication::StagedImage> staged_;
+  std::unordered_map<bwtree::TreeId, bwtree::Lsn> tree_lsn_;
 
   /// Restore-priority queue: every non-resident page installed at restore,
-  /// drained by WarmRestoredPages (background thread or tests).
+  /// drained by WarmRestoredPages (maintenance thread or tests).
   std::mutex warm_mu_;
   std::vector<std::pair<bwtree::TreeId, bwtree::PageId>> warm_queue_;
   size_t warm_next_ = 0;
@@ -301,14 +283,10 @@ class GraphDB : public graph::GraphEngine {
   bool restored_from_checkpoint_ = false;
   bool checkpoint_fell_back_ = false;
 
-  LightCounter ckpt_pages_flushed_;
-  LightCounter ckpt_manifests_written_;
   LightCounter ckpt_replay_bytes_;
 
-  std::mutex ckpt_thread_mu_;
-  std::condition_variable ckpt_thread_cv_;
-  bool ckpt_stop_ = false;
-  std::thread ckpt_thread_;
+  /// Declared last: destroyed (thread joined) before the trees it flushes.
+  std::unique_ptr<replication::Checkpointer> checkpointer_;
 };
 
 }  // namespace bg3::core

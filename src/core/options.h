@@ -9,6 +9,7 @@
 #include "core/admission.h"
 #include "forest/forest.h"
 #include "gc/policy.h"
+#include "replication/checkpoint.h"
 
 namespace bg3::core {
 
@@ -66,29 +67,17 @@ struct GraphDBOptions {
 
   /// Continuous fuzzy checkpointing of the whole engine (DESIGN.md §5.7).
   /// When enabled, every tree (forest + vertex) runs deferred flushing and
-  /// a decoupled checkpoint thread incrementally flushes dirty pages,
-  /// publishes their images in the shared mapping table, and commits a
-  /// checkpoint manifest (tree list + forest owner registry) under the
-  /// "db" scope. Restart restores the manifest's layout with demand-paged
-  /// (non-resident) pages: reads go live at checkpoint consistency after a
-  /// bounded amount of I/O, independent of database size. Durability is
-  /// checkpoint-granular — the WAL that narrows the loss window to the
-  /// replayed suffix lives in the replication layer (RwNode/RwRestart).
-  struct CheckpointPolicy {
-    bool enabled = false;
-    /// Background checkpoint thread cadence (StartCheckpointing).
-    uint64_t interval_ms = 200;
-    /// Dirty pages flushed per CheckpointCycle — the increment size.
-    size_t max_pages_per_cycle = 64;
-    /// Look for a "db"-scope checkpoint manifest at construction and
-    /// restore from it (no-op when none exists).
-    bool restore = true;
-    /// Pages the background thread rewarm per cycle after a restore (the
-    /// restore-priority queue drain rate; demand reads warm their own
-    /// pages regardless).
-    size_t warm_pages_per_cycle = 32;
-  };
-  CheckpointPolicy checkpoint;
+  /// GraphDB::checkpointer() — the replication::Checkpointer, driving the
+  /// "db" scope — incrementally flushes dirty pages, publishes their images
+  /// in the shared mapping table, and commits a checkpoint manifest (tree
+  /// list + forest owner registry). Construction restores the newest "db"
+  /// manifest with demand-paged (non-resident) pages: reads go live at
+  /// checkpoint consistency after a bounded amount of I/O, independent of
+  /// database size. Durability is checkpoint-granular — the WAL that
+  /// narrows the loss window to the replayed suffix lives in the
+  /// replication layer (RwNode/RwRestart).
+  bool checkpointing = false;
+  replication::CheckpointerOptions checkpointer;
 
   /// In-process debug/observability HTTP endpoint (DESIGN.md §5.8):
   /// `/metrics` (Prometheus), `/healthz`, `/tracez` (slow-op span trees),

@@ -168,11 +168,6 @@ class BwTreeForest {
   /// Installs the INIT tree's checkpointed layout (requires bootstrap_init).
   Status InstallInitPages(std::vector<bwtree::RecoveredPage> pages);
 
-  /// Raises the shared LSN source to at least `lsn` so post-restore
-  /// mutations never run the per-page flushed_lsn <= last_lsn invariant
-  /// backwards (page-id collision safety is handled per install).
-  void RestoreLsnFloor(bwtree::Lsn lsn);
-
   /// INIT-tree composite key helpers, exposed for tests.
   static std::string MakeInitKey(OwnerId owner, const Slice& sort_key);
   static std::string OwnerPrefix(OwnerId owner);

@@ -6,8 +6,6 @@
 #include "common/crc32.h"
 #include "common/logging.h"
 #include "common/metrics_registry.h"
-#include "common/time_source.h"
-#include "replication/rw_node.h"
 
 namespace bg3::replication {
 
@@ -314,36 +312,12 @@ Result<EpochRecord> PublishEpochRecord(cloud::CloudStore* store,
   return rec;
 }
 
-uint64_t AutotuneCheckpointIntervalMs(const CheckpointerOptions& opts,
-                                      uint64_t bytes_appended,
-                                      uint64_t elapsed_us,
-                                      uint64_t fallback_ms) {
-  const uint64_t lo = opts.min_interval_ms == 0 ? 1 : opts.min_interval_ms;
-  const uint64_t hi = std::max(lo, opts.max_interval_ms);
-  const auto clamp = [lo, hi](uint64_t v) {
-    return std::min(hi, std::max(lo, v));
-  };
-  if (opts.target_suffix_replay_bytes == 0 || elapsed_us == 0 ||
-      bytes_appended == 0) {
-    return clamp(fallback_ms);
-  }
-  // interval such that rate * interval == target:
-  //   target_bytes / (bytes / elapsed_ms)
-  const double elapsed_ms = static_cast<double>(elapsed_us) / 1000.0;
-  const double rate = static_cast<double>(bytes_appended) / elapsed_ms;
-  const double ival =
-      static_cast<double>(opts.target_suffix_replay_bytes) / rate;
-  if (ival >= static_cast<double>(hi)) return hi;
-  if (ival <= static_cast<double>(lo)) return lo;
-  return clamp(static_cast<uint64_t>(ival));
-}
-
-Checkpointer::Checkpointer(cloud::CloudStore* store, RwNode* node,
+Checkpointer::Checkpointer(cloud::CloudStore* store, CheckpointSource* source,
                            const CheckpointerOptions& options)
     : store_(store),
-      node_(node),
+      source_(source),
       opts_(options),
-      scope_(WalCheckpointScope(node->options().wal.stream)),
+      scope_(source->CheckpointScope()),
       metrics_prefix_("bg3.replication.ckpt" +
                       std::to_string(MetricsRegistry::NextInstanceId("ckpt")) +
                       ".") {
@@ -353,19 +327,11 @@ Checkpointer::Checkpointer(cloud::CloudStore* store, RwNode* node,
     epoch_ = prior.value().manifest.epoch;
     published_lsn_ = prior.value().manifest.checkpoint_lsn;
   }
-  effective_interval_ms_ = opts_.interval_ms;
-  autotune_clock_ = opts_.time_source != nullptr ? opts_.time_source
-                                                 : DefaultWallTimeSource();
-  last_publish_us_ = autotune_clock_->NowUs();
-  last_publish_wal_bytes_ =
-      store_->TotalBytes(node->options().wal.stream);
   MetricsRegistry& reg = MetricsRegistry::Default();
   reg.RegisterCounter(metrics_prefix_ + "cuts_started", &stats_.cuts_started);
   reg.RegisterCounter(metrics_prefix_ + "pages_flushed", &stats_.pages_flushed);
   reg.RegisterCounter(metrics_prefix_ + "manifests_written",
                       &stats_.manifests_written);
-  reg.RegisterCounter(metrics_prefix_ + "wal_extents_truncated",
-                      &stats_.wal_extents_truncated);
   reg.RegisterCounter(metrics_prefix_ + "step_errors", &stats_.step_errors);
 }
 
@@ -398,10 +364,9 @@ void Checkpointer::Stop() {
 
 void Checkpointer::ThreadMain() {
   for (;;) {
-    const uint64_t tick_ms = effective_interval_ms();
     {
       std::unique_lock<std::mutex> lock(thread_mu_);
-      thread_cv_.wait_for(lock, std::chrono::milliseconds(tick_ms),
+      thread_cv_.wait_for(lock, std::chrono::milliseconds(opts_.interval_ms),
                           [this] { return stop_; });
       if (stop_) return;
     }
@@ -420,13 +385,13 @@ Status Checkpointer::CheckpointNow() {
   std::lock_guard<std::mutex> lock(mu_);
   do {
     BG3_RETURN_IF_ERROR(StepLocked());
-  } while (cut_.active);
+  } while (cut_active_);
   return Status::OK();
 }
 
 bool Checkpointer::CutInProgress() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return cut_.active;
+  return cut_active_;
 }
 
 uint64_t Checkpointer::epoch() const {
@@ -434,52 +399,40 @@ uint64_t Checkpointer::epoch() const {
   return epoch_;
 }
 
-bwtree::Lsn Checkpointer::published_lsn() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return published_lsn_;
-}
-
-uint64_t Checkpointer::effective_interval_ms() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return effective_interval_ms_;
-}
-
 Status Checkpointer::StepLocked() {
-  if (!cut_.active) {
-    const bwtree::Lsn l0 = node_->CurrentLsn();
-    if (l0 == published_lsn_ && !node_->HasStagedImages()) {
+  if (!cut_active_) {
+    const bwtree::Lsn l0 = source_->CurrentLsn();
+    if (l0 == published_lsn_ && !source_->HasStagedImages()) {
       return Status::OK();  // nothing durable to add since the last manifest
     }
     // Fuzzy-cut capture order — LSN, then WAL flush + cursor, then the
     // dirty snapshot (see the class comment for the soundness argument).
-    // The Flush barrier waits out every in-flight pipelined append, so the
-    // committed cursor it leaves behind is gap-free: nothing with a higher
-    // seq can land physically before it.
-    BG3_RETURN_IF_ERROR(node_->wal_writer()->Flush());
+    cut_ = FuzzyCut{};
     cut_.lsn = l0;
-    cut_.wal_cursor = node_->wal_writer()->committed_cursor();
-    cut_.pending = node_->tree()->DirtyPageIds();
-    cut_.next = 0;
-    cut_.active = true;
+    BG3_RETURN_IF_ERROR(source_->CaptureCut(&cut_));
+    cut_next_ = 0;
+    cut_active_ = true;
     stats_.cuts_started.Inc();
     return Status::OK();
   }
 
-  if (cut_.next < cut_.pending.size()) {
+  if (cut_next_ < cut_.pending.size()) {
     const size_t end =
-        std::min(cut_.pending.size(), cut_.next + opts_.max_pages_per_round);
-    while (cut_.next < end) {
-      // A page the group flusher beat us to is already clean — FlushPage is
-      // a latched no-op then; its staged image publishes with our commit.
-      Status s = node_->tree()->FlushPage(cut_.pending[cut_.next]);
+        std::min(cut_.pending.size(), cut_next_ + opts_.max_pages_per_round);
+    while (cut_next_ < end) {
+      // A page something else flushed first (a group flush, GC) is already
+      // clean — the flush is a latched no-op then; its staged image
+      // publishes with our commit.
+      const auto& [tree, page] = cut_.pending[cut_next_];
+      Status s = source_->FlushCutPage(tree, page);
       if (!s.ok() && !s.IsNotFound()) {
         stats_.step_errors.Inc();
         return s;
       }
       stats_.pages_flushed.Inc();
-      ++cut_.next;
+      ++cut_next_;
     }
-    if (cut_.next < cut_.pending.size()) return Status::OK();
+    if (cut_next_ < cut_.pending.size()) return Status::OK();
   }
 
   if (Status s = PublishCutLocked(); !s.ok()) {
@@ -491,38 +444,20 @@ Status Checkpointer::StepLocked() {
 
 Status Checkpointer::PublishCutLocked() {
   // Every page of the cut has an image staged (or already published).
-  // Publish order: mapping entries + WAL checkpoint record first, the
-  // checkpoint manifest last — the manifest's promise ("images cover
-  // everything <= checkpoint_lsn") must never be readable before the
+  // Publish order: mapping entries (+ the RW node's WAL checkpoint record)
+  // first, the checkpoint manifest last — the manifest's promise ("images
+  // cover everything <= checkpoint_lsn") must never be readable before the
   // images themselves are.
-  BG3_RETURN_IF_ERROR(node_->CommitCheckpoint(cut_.lsn));
   CheckpointManifest m;
   m.epoch = epoch_ + 1;
-  m.wal_stream = node_->options().wal.stream;
-  m.wal_cursor = cut_.wal_cursor;
   m.checkpoint_lsn = cut_.lsn;
-  m.trees.push_back({node_->options().tree.tree_id, cut_.lsn});
+  BG3_RETURN_IF_ERROR(source_->CommitCheckpoint(cut_, &m));
   BG3_RETURN_IF_ERROR(PublishCheckpoint(store_, scope_, m));
   epoch_ = m.epoch;
   published_lsn_ = cut_.lsn;
   stats_.manifests_written.Inc();
-  if (opts_.truncate_wal && !cut_.wal_cursor.ptr.IsNull()) {
-    stats_.wal_extents_truncated.Add(store_->TruncateStreamBefore(
-        m.wal_stream, cut_.wal_cursor.ptr.extent_id));
-  }
-  if (opts_.target_suffix_replay_bytes > 0) {
-    // Re-derive the cadence from the append rate observed since the last
-    // publish: faster writers get shorter intervals, so the WAL suffix a
-    // promotion must replay stays near the byte target.
-    const uint64_t now_us = autotune_clock_->NowUs();
-    const uint64_t wal_bytes = store_->TotalBytes(m.wal_stream);
-    effective_interval_ms_ = AutotuneCheckpointIntervalMs(
-        opts_, wal_bytes - last_publish_wal_bytes_,
-        now_us - last_publish_us_, effective_interval_ms_);
-    last_publish_us_ = now_us;
-    last_publish_wal_bytes_ = wal_bytes;
-  }
-  cut_ = Cut{};
+  cut_ = FuzzyCut{};
+  cut_active_ = false;
   return Status::OK();
 }
 

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bwtree/bwtree.h"
@@ -15,8 +16,6 @@
 #include "wal/record.h"
 
 namespace bg3::replication {
-
-class RwNode;
 
 /// One tree covered by a checkpoint: every mutation of `tree_id` with
 /// LSN <= `flushed_lsn` is contained in the published page images.
@@ -131,54 +130,56 @@ Result<EpochRecord> PublishEpochRecord(cloud::CloudStore* store,
 
 /// Continuous fuzzy checkpointing options.
 struct CheckpointerOptions {
-  /// Background thread cadence; each tick runs one bounded Step(). With
-  /// autotuning enabled this is only the starting value.
+  /// Background thread cadence; each tick runs one bounded Step().
   uint64_t interval_ms = 20;
   /// Dirty pages flushed per Step() — the increment size. Small values keep
   /// the checkpoint thread from monopolizing the store; the cut just takes
   /// more steps to drain.
   size_t max_pages_per_round = 32;
-  /// Advance the WAL truncation point to the checkpoint cursor after each
-  /// durable publish. Only safe when no reader's cursor can be behind the
-  /// checkpoint (single-node deployments, or truncation coordinated by
-  /// Cluster::TruncateWal); hence off by default.
-  bool truncate_wal = false;
-  /// Cadence autotuning (DESIGN.md §5.10): when > 0, the effective interval
-  /// is re-derived at every publish from the observed WAL append rate so
-  /// the expected suffix a promotion must replay stays at or below this
-  /// many bytes — promotion cost stays bounded as the write rate grows
-  /// instead of scaling with whatever fixed interval accumulated. 0 keeps
-  /// the fixed interval_ms cadence.
-  uint64_t target_suffix_replay_bytes = 0;
-  /// Clamp for the autotuned interval.
-  uint64_t min_interval_ms = 1;
-  uint64_t max_interval_ms = 1000;
-  /// Clock for rate observation (autotuning only). Null = process wall
-  /// clock; tests pass a ManualTimeSource.
-  const TimeSource* time_source = nullptr;
 };
-
-/// The pure cadence rule behind the autotuner, exposed for deterministic
-/// unit testing: given `bytes_appended` WAL bytes observed over
-/// `elapsed_us`, returns the interval at which the append rate accumulates
-/// about `opts.target_suffix_replay_bytes` between publishes, clamped to
-/// [min_interval_ms, max_interval_ms]. A zero rate (idle stream, or zero
-/// elapsed time) returns `fallback_ms` clamped — no observation, no change.
-uint64_t AutotuneCheckpointIntervalMs(const CheckpointerOptions& opts,
-                                      uint64_t bytes_appended,
-                                      uint64_t elapsed_us,
-                                      uint64_t fallback_ms);
 
 struct CheckpointerStats {
   Counter cuts_started;
   Counter pages_flushed;
   Counter manifests_written;
-  Counter wal_extents_truncated;
   Counter step_errors;  ///< Steps abandoned on I/O error (cut stays open).
 };
 
+/// A fuzzy cut: the capture LSN, the WAL position every record at or below
+/// it is durable through (null without a WAL), and the dirty pages to drain.
+struct FuzzyCut {
+  bwtree::Lsn lsn = 0;
+  wal::WalCursor wal_cursor;
+  std::vector<std::pair<bwtree::TreeId, bwtree::PageId>> pending;
+};
+
+/// What a Checkpointer checkpoints (DESIGN.md §5.7): an RW node (scope
+/// `wal<stream>`, one tree and its WAL) or a whole GraphDB (scope "db",
+/// every forest tree plus the vertex tree, no WAL). Flushed pages stage
+/// their images with the source; CommitCheckpoint publishes them.
+class CheckpointSource {
+ public:
+  virtual ~CheckpointSource() = default;
+
+  /// Manifest scope the checkpoints publish under.
+  virtual std::string CheckpointScope() const = 0;
+  /// Newest LSN handed out — the fuzzy-cut capture point.
+  virtual bwtree::Lsn CurrentLsn() const = 0;
+  /// True while flushed-page images await publication.
+  virtual bool HasStagedImages() const = 0;
+  /// Completes a cut whose `lsn` is already captured: WAL flush and cursor
+  /// where there is a WAL, then the dirty snapshot of every owned tree.
+  virtual Status CaptureCut(FuzzyCut* cut) = 0;
+  /// Flushes one page of the cut; NotFound when it merged away since.
+  virtual Status FlushCutPage(bwtree::TreeId tree, bwtree::PageId page) = 0;
+  /// Publishes every staged image in OrderForPublication order and fills
+  /// the manifest's trees, owners and WAL fields for the drained `cut`.
+  virtual Status CommitCheckpoint(const FuzzyCut& cut,
+                                  CheckpointManifest* manifest) = 0;
+};
+
 /// The decoupled checkpoint thread (DESIGN.md §5.7): incrementally flushes
-/// the RW node's dirty pages and publishes a checkpoint manifest, without
+/// a source's dirty pages and publishes a checkpoint manifest, without
 /// ever blocking the write path for more than one bounded flush round.
 ///
 /// A cut is fuzzy in the ARIES sense — writers keep mutating while it
@@ -193,7 +194,7 @@ struct CheckpointerStats {
 /// covers is harmless (RO replay is LSN-gated per page).
 class Checkpointer {
  public:
-  Checkpointer(cloud::CloudStore* store, RwNode* node,
+  Checkpointer(cloud::CloudStore* store, CheckpointSource* source,
                const CheckpointerOptions& options = {});
   ~Checkpointer();
 
@@ -211,49 +212,33 @@ class Checkpointer {
   /// the cut open — the next step retries the remaining pages.
   Status Step();
 
-  /// Drives the current (or a fresh) cut to a durable manifest.
+  /// Drives the current (or a fresh) cut to a durable manifest; a no-op
+  /// when nothing changed since the last publish.
   Status CheckpointNow();
 
   bool CutInProgress() const;
   uint64_t epoch() const;
-  /// LSN of the newest durable (manifest-published) checkpoint.
-  bwtree::Lsn published_lsn() const;
-  /// The cadence currently in effect: interval_ms until the autotuner's
-  /// first observation, then the derived value.
-  uint64_t effective_interval_ms() const;
-  const std::string& scope() const { return scope_; }
   CheckpointerStats& stats() { return stats_; }
 
  private:
-  struct Cut {
-    bool active = false;
-    bwtree::Lsn lsn = 0;
-    wal::WalCursor wal_cursor;
-    std::vector<bwtree::PageId> pending;  ///< dirty snapshot, drained in order.
-    size_t next = 0;
-  };
-
   Status StepLocked();
   Status PublishCutLocked();
   void ThreadMain();
 
   cloud::CloudStore* const store_;
-  RwNode* const node_;
+  CheckpointSource* const source_;
   const CheckpointerOptions opts_;
   const std::string scope_;
 
   /// Serializes Step/CheckpointNow/Stop; plain std::mutex (like the GraphDB
   /// maintenance thread) — it never nests inside ranked locks.
   mutable std::mutex mu_;
-  Cut cut_;
+  bool cut_active_ = false;
+  FuzzyCut cut_;
+  size_t cut_next_ = 0;  ///< next pending page to flush.
   uint64_t epoch_ = 0;
+  /// LSN of the newest durable (manifest-published) cut.
   bwtree::Lsn published_lsn_ = 0;
-  // Autotuner state (under mu_): cadence in effect plus the (time, WAL
-  // bytes) sample taken at the previous publish.
-  uint64_t effective_interval_ms_ = 0;
-  uint64_t last_publish_us_ = 0;
-  uint64_t last_publish_wal_bytes_ = 0;
-  const TimeSource* autotune_clock_ = nullptr;
 
   std::thread thread_;
   std::mutex thread_mu_;

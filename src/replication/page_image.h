@@ -96,6 +96,18 @@ struct StagedImage {
   PageImageMeta meta;
 };
 
+/// The image a TreeListener::OnPageFlushed callback reports, staged.
+inline StagedImage StageImage(bwtree::TreeId tree, bwtree::PageId page,
+                              bwtree::Lsn flushed_lsn,
+                              const cloud::PagePointer& base_ptr,
+                              const std::vector<cloud::PagePointer>& delta_ptrs,
+                              const std::string& low_key,
+                              const std::string& high_key, bool has_high_key) {
+  return StagedImage{tree, page,
+                     PageImageMeta{flushed_lsn, base_ptr, delta_ptrs, low_key,
+                                   high_key, has_high_key}};
+}
+
 /// Puts `staged` into publication order for the mapping table: one image
 /// per (tree, page), the one with the newest flushed_lsn (a checkpoint
 /// round and a GC relocation can both stage the same page), and within a

@@ -136,9 +136,32 @@ Status RwNode::FlushGroup() {
   return PublishStagedLocked(checkpoint, /*force_record=*/!dirty.empty());
 }
 
-Status RwNode::CommitCheckpoint(bwtree::Lsn checkpoint_lsn) {
-  MutexLock flush_lock(&flush_mu_);
-  return PublishStagedLocked(checkpoint_lsn, /*force_record=*/false);
+Status RwNode::CaptureCut(FuzzyCut* cut) {
+  // The Flush barrier waits out every in-flight pipelined append, so the
+  // committed cursor it leaves behind is gap-free: nothing with a higher
+  // seq can land physically before it.
+  BG3_RETURN_IF_ERROR(wal_.Flush());
+  cut->wal_cursor = wal_.committed_cursor();
+  for (bwtree::PageId id : tree_->DirtyPageIds()) {
+    cut->pending.emplace_back(opts_.tree.tree_id, id);
+  }
+  return Status::OK();
+}
+
+Status RwNode::FlushCutPage(bwtree::TreeId, bwtree::PageId page) {
+  return tree_->FlushPage(page);
+}
+
+Status RwNode::CommitCheckpoint(const FuzzyCut& cut,
+                                CheckpointManifest* manifest) {
+  {
+    MutexLock flush_lock(&flush_mu_);
+    BG3_RETURN_IF_ERROR(PublishStagedLocked(cut.lsn, /*force_record=*/false));
+  }
+  manifest->wal_stream = opts_.wal.stream;
+  manifest->wal_cursor = cut.wal_cursor;
+  manifest->trees.push_back({opts_.tree.tree_id, cut.lsn});
+  return Status::OK();
 }
 
 Status RwNode::PublishStagedLocked(bwtree::Lsn checkpoint, bool force_record) {
@@ -229,15 +252,8 @@ void RwNode::OnPageFlushed(bwtree::TreeId tree, bwtree::PageId page,
                            const std::vector<cloud::PagePointer>& delta_ptrs,
                            const std::string& low_key,
                            const std::string& high_key, bool has_high_key) {
-  StagedImage staged;
-  staged.tree = tree;
-  staged.page = page;
-  staged.meta.flushed_lsn = flushed_lsn;
-  staged.meta.base_ptr = base_ptr;
-  staged.meta.delta_ptrs = delta_ptrs;
-  staged.meta.low_key = low_key;
-  staged.meta.high_key = high_key;
-  staged.meta.has_high_key = has_high_key;
+  StagedImage staged = StageImage(tree, page, flushed_lsn, base_ptr,
+                                  delta_ptrs, low_key, high_key, has_high_key);
   MutexLock lock(&staged_mu_);
   staged_.push_back(std::move(staged));
 }

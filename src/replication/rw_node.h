@@ -9,6 +9,7 @@
 #include "bwtree/listener.h"
 #include "common/metrics.h"
 #include "common/thread_annotations.h"
+#include "replication/checkpoint.h"
 #include "replication/page_image.h"
 #include "replication/ro_node.h"
 #include "wal/writer.h"
@@ -42,8 +43,9 @@ struct RwNodeOptions {
 /// to the WAL on shared storage (steps (1)-(2)); dirty pages are flushed in
 /// groups (step (7)); after a group the node publishes new page-table
 /// versions to the shared mapping area and appends a checkpoint record
-/// (step (8)).
-class RwNode : public bwtree::TreeListener {
+/// (step (8)). As a CheckpointSource it lets a Checkpointer run the same
+/// publication incrementally, as fuzzy cuts of `wal<stream>` scope.
+class RwNode : public bwtree::TreeListener, public CheckpointSource {
  public:
   RwNode(cloud::CloudStore* store, const RwNodeOptions& options);
 
@@ -91,29 +93,31 @@ class RwNode : public bwtree::TreeListener {
   /// before parents) and appends the checkpoint WAL record.
   Status FlushGroup();
 
-  /// Publishes every staged mapping entry and appends a checkpoint WAL
-  /// record announcing coverage through `checkpoint_lsn`. The incremental
-  /// (fuzzy) checkpoint commit path: the Checkpointer has already flushed
-  /// the pages of its cut, one bounded round at a time, and calls this once
-  /// the cut drains. Never regresses last_checkpoint_lsn (a concurrent
-  /// group flush may have checkpointed further).
-  Status CommitCheckpoint(bwtree::Lsn checkpoint_lsn);
-
   bwtree::BwTree* tree() { return tree_.get(); }
   wal::WalWriter* wal_writer() { return &wal_; }
   const RwNodeOptions& options() const { return opts_; }
 
+  // --- CheckpointSource ----------------------------------------------------
+  std::string CheckpointScope() const override {
+    return WalCheckpointScope(opts_.wal.stream);
+  }
   /// Newest LSN handed out; mutations at or below it are in memory and
-  /// (once the WAL flushes) durable. The fuzzy-cut capture point.
-  bwtree::Lsn CurrentLsn() const {
+  /// (once the WAL flushes) durable.
+  bwtree::Lsn CurrentLsn() const override {
     return lsn_source_.load(std::memory_order_acquire);
   }
-
-  /// True while flushed-page mapping entries await publication.
-  bool HasStagedImages() const {
+  bool HasStagedImages() const override {
     MutexLock lock(&staged_mu_);
     return !staged_.empty();
   }
+  Status CaptureCut(FuzzyCut* cut) override;
+  Status FlushCutPage(bwtree::TreeId tree, bwtree::PageId page) override;
+  /// Publishes every staged mapping entry and appends a checkpoint WAL
+  /// record announcing coverage through the cut LSN. Never regresses
+  /// last_checkpoint_lsn (a concurrent group flush may have checkpointed
+  /// further).
+  Status CommitCheckpoint(const FuzzyCut& cut,
+                          CheckpointManifest* manifest) override;
 
   bwtree::Lsn last_checkpoint_lsn() const {
     return last_checkpoint_.load(std::memory_order_relaxed);

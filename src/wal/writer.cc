@@ -264,9 +264,18 @@ void WalWriter::SerializerMain() {
 void WalWriter::OnAppendComplete(cloud::AppendPipeline::Completion done) {
   uint64_t newly_committed = 0;
   bool failed = false;
+  Batches again;
   {
     std::lock_guard<std::mutex> lock(led_mu_);
     --outstanding_;
+    if (done.seq == probe_seq_) probe_seq_ = 0;
+    if (!done.status.ok()) {
+      // Held batches wait on a breaker that just turned a batch away, or on
+      // a store that really failed one: they park again, so the waiter
+      // surfaces this error.
+      outstanding_ -= held_.size();
+      parked_.merge(held_);
+    }
     if (done.status.IsFenced()) {
       // Deposed: a newer leader fenced the stream. The batch never landed
       // and never will — drop it (no park, no retry), account the records
@@ -310,7 +319,11 @@ void WalWriter::OnAppendComplete(cloud::AppendPipeline::Completion done) {
         committed_cursor_.Write(
             WalCursor{max_physical_ptr_, term_, next_commit_seq_ - 1});
       }
+      TakeKickableLocked(&again);
     }
+  }
+  for (auto& [seq, item] : again) {
+    pipeline_->Submit(seq, std::move(item.first), item.second);
   }
   if (failed) {
     sequencer_.Disturb();
@@ -320,7 +333,7 @@ void WalWriter::OnAppendComplete(cloud::AppendPipeline::Completion done) {
 }
 
 void WalWriter::KickParked(uint64_t below_seq) {
-  std::vector<std::pair<uint64_t, std::pair<std::string, uint64_t>>> again;
+  Batches again;
   {
     std::lock_guard<std::mutex> lock(led_mu_);
     if (parked_.empty()) return;
@@ -335,15 +348,24 @@ void WalWriter::KickParked(uint64_t below_seq) {
       parked_.clear();
       return;
     }
-    for (auto it = parked_.begin(); it != parked_.end();) {
-      if (it->first >= below_seq) break;  // sealed by (or after) the caller
-      again.emplace_back(it->first, std::move(it->second));
+    while (!parked_.empty() && parked_.begin()->first < below_seq) {
+      held_.insert(parked_.extract(parked_.begin()));
       ++outstanding_;
-      it = parked_.erase(it);
     }
+    TakeKickableLocked(&again);
   }
   for (auto& [seq, item] : again) {
     pipeline_->Submit(seq, std::move(item.first), item.second);
+  }
+}
+
+void WalWriter::TakeKickableLocked(Batches* out) {
+  while (!held_.empty() && probe_seq_ == 0) {
+    auto node = held_.extract(held_.begin());
+    if (store_->breaker().state() != CircuitBreaker::State::kClosed) {
+      probe_seq_ = node.key();
+    }
+    out->emplace_back(node.key(), std::move(node.mapped()));
   }
 }
 

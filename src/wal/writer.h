@@ -186,12 +186,23 @@ class WalWriter {
   /// was empty.
   uint64_t SealLocked(const OpContext* ctx);
   void SerializerMain();
+  /// (seq, (framed payload, record count)) of batches headed for the
+  /// append pipeline.
+  using Batches =
+      std::vector<std::pair<uint64_t, std::pair<std::string, uint64_t>>>;
+
   void OnAppendComplete(cloud::AppendPipeline::Completion done);
-  /// Moves parked (failed) batches with seq < `below_seq` back into the
-  /// append queue. The bound keeps a sealing Append from re-kicking its own
-  /// just-failed batch — a failure must surface on that call, not get a
-  /// retry its policy never granted.
+  /// Moves parked (failed) batches with seq < `below_seq` back toward the
+  /// append queue (via held_, at the pace TakeKickableLocked allows). The
+  /// bound keeps a sealing Append from re-kicking its own just-failed batch
+  /// — a failure must surface on that call, not get a retry its policy
+  /// never granted.
   void KickParked(uint64_t below_seq);
+  /// Moves the held batches the cloud breaker admits now into `out`: all of
+  /// them while it is closed, otherwise one probe at a time — a half-open
+  /// breaker admits only a few probes, and every batch it turned away would
+  /// park again and fail the waiter although the store is healthy.
+  void TakeKickableLocked(Batches* out);
   /// Waits for `target` tickets to commit, mapping pipeline failures to the
   /// append error exactly like the legacy inline flush surfaced it.
   BG3_BLOCKING Status WaitTicket(uint64_t target, const OpContext* ctx);
@@ -215,6 +226,9 @@ class WalWriter {
       pending_;                                 ///< landed out of order.
   std::map<uint64_t, std::pair<std::string, uint64_t>>
       parked_;                                  ///< failed; await re-kick.
+  std::map<uint64_t, std::pair<std::string, uint64_t>>
+      held_;  ///< re-kicked; await a breaker probe slot (outstanding).
+  uint64_t probe_seq_ = 0;  ///< held batch re-kicked as a probe; 0 = none.
   uint64_t next_commit_seq_ = 1;
   uint64_t committed_record_count_ = 0;
   uint64_t outstanding_ = 0;  ///< serializing / queued / mid-append batches.

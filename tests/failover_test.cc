@@ -1,8 +1,7 @@
 // Failover suite (DESIGN.md §5.10): term-fenced appends, epoch-record CAS
-// promotion, zombie-leader drain, cluster promotion / rolling restart, the
-// checkpoint-cadence autotuner, and the seeded chaos harness. The
-// `failover-smoke` CI job runs everything here under asan and tsan
-// (`ctest -L failover`).
+// promotion, zombie-leader drain, cluster promotion / rolling restart, and
+// the seeded chaos harness. The `failover-smoke` CI job runs everything here
+// under asan and tsan (`ctest -L failover`).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,7 +12,6 @@
 #include "cloud/cloud_store.h"
 #include "cloud/fault_injector.h"
 #include "common/debug_server.h"
-#include "common/time_source.h"
 #include "replication/chaos.h"
 #include "replication/checkpoint.h"
 #include "replication/cluster.h"
@@ -483,81 +481,6 @@ TEST(RollingRestartTest, WholeClusterSurvivesARollingRestart) {
   for (int i = 0; i < 400; ++i) {
     EXPECT_EQ(f.cluster->Get(Key(i)).value(), "v2") << i;
   }
-}
-
-// --- checkpoint-cadence autotuning --------------------------------------------
-
-TEST(CheckpointAutotuneTest, RuleDerivesIntervalFromObservedRate) {
-  CheckpointerOptions opts;
-  opts.target_suffix_replay_bytes = 1000;
-  opts.min_interval_ms = 2;
-  opts.max_interval_ms = 500;
-  // 1000 bytes over 1 second = 1 byte/ms; 1000-byte target -> 1000 ms,
-  // clamped to max.
-  EXPECT_EQ(AutotuneCheckpointIntervalMs(opts, 1000, 1'000'000, 20), 500u);
-  // 100x the rate -> 10 ms.
-  EXPECT_EQ(AutotuneCheckpointIntervalMs(opts, 100'000, 1'000'000, 20), 10u);
-  // Absurd rate clamps at the floor.
-  EXPECT_EQ(AutotuneCheckpointIntervalMs(opts, 100'000'000, 1'000'000, 20),
-            2u);
-  // No observation (idle stream or zero elapsed) -> fallback, clamped.
-  EXPECT_EQ(AutotuneCheckpointIntervalMs(opts, 0, 1'000'000, 20), 20u);
-  EXPECT_EQ(AutotuneCheckpointIntervalMs(opts, 1000, 0, 20), 20u);
-  EXPECT_EQ(AutotuneCheckpointIntervalMs(opts, 0, 0, 9999), 500u);
-  // Autotuning off -> fallback untouched.
-  CheckpointerOptions off;
-  off.target_suffix_replay_bytes = 0;
-  EXPECT_EQ(AutotuneCheckpointIntervalMs(off, 1'000'000, 1'000'000, 20), 20u);
-}
-
-TEST(CheckpointAutotuneTest, CheckpointerDerivesCadenceFromManualClock) {
-  cloud::CloudStore store;
-  RwNodeOptions node;
-  node.tree.tree_id = 1;
-  node.tree.max_leaf_entries = 16;
-  node.tree.base_stream = store.CreateStream("base");
-  node.tree.delta_stream = store.CreateStream("delta");
-  node.wal.stream = store.CreateStream("wal");
-  node.flush_group_pages = 1'000'000;
-  node.flush_group_mutations = 1'000'000'000;
-  RwNode rw(&store, node);
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(rw.Put(Key(i), "warmup").ok());
-  }
-
-  ManualTimeSource clock;
-  clock.SetUs(1'000'000);
-  CheckpointerOptions copts;
-  copts.interval_ms = 50;
-  copts.target_suffix_replay_bytes = 1 << 20;
-  copts.min_interval_ms = 1;
-  copts.max_interval_ms = 400;
-  copts.time_source = &clock;
-  Checkpointer ckpt(&store, &rw, copts);
-  EXPECT_EQ(ckpt.effective_interval_ms(), 50u);  // no observation yet
-
-  // The checkpointer sampled (t0, bytes0) at construction; everything
-  // appended from here on is the observed rate.
-  const uint64_t bytes0 = store.TotalBytes(node.wal.stream);
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(rw.Put(Key(i), std::string(64, 'x')).ok());
-  }
-  clock.AdvanceUs(2'000'000);
-  ASSERT_TRUE(ckpt.CheckpointNow().ok());
-
-  const uint64_t observed = store.TotalBytes(node.wal.stream) - bytes0;
-  ASSERT_GT(observed, 0u);
-  const uint64_t expected =
-      AutotuneCheckpointIntervalMs(copts, observed, 2'000'000, 50);
-  EXPECT_EQ(ckpt.effective_interval_ms(), expected);
-  EXPECT_NE(ckpt.effective_interval_ms(), 50u)
-      << "pick rates so the derived cadence differs from the seed value";
-
-  // Idle window: the next publish observes ~no bytes and keeps the cadence
-  // rather than flailing to the max.
-  clock.AdvanceUs(1'000'000);
-  ASSERT_TRUE(ckpt.CheckpointNow().ok());
-  EXPECT_EQ(ckpt.effective_interval_ms(), expected);
 }
 
 // --- chaos harness ------------------------------------------------------------

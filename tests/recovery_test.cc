@@ -268,9 +268,10 @@ TEST(RecoveryFaultTest, TornWalAppendPlusCrashLosesAckedWriteWithoutRetries) {
 // --- mid-checkpoint crashes (DESIGN.md §5.7) ---------------------------------
 //
 // The fuzzy checkpoint publishes in a fixed order: page images, manifest
-// slot, head flip, (optionally) WAL truncation. A crash between any two of
-// those steps must recover to the exact acknowledged state — either from
-// the new checkpoint or by falling back to the previous one.
+// slot, head flip, then (separately, through the store) WAL truncation. A
+// crash between any two of those steps must recover to the exact
+// acknowledged state — either from the new checkpoint or by falling back to
+// the previous one.
 
 TEST(RecoveryCheckpointTest, CrashBetweenManifestPutAndTruncationAdvance) {
   CrashFixture f;
@@ -278,8 +279,8 @@ TEST(RecoveryCheckpointTest, CrashBetweenManifestPutAndTruncationAdvance) {
     ASSERT_TRUE(f.rw->Put(Key(i), "v" + std::to_string(i)).ok());
   }
   // Publish a durable checkpoint but crash before the truncation advance
-  // (truncate_wal off models exactly that window: manifest durable, WAL
-  // prefix still present).
+  // (no truncation at all models exactly that window: manifest durable,
+  // WAL prefix still present).
   Checkpointer ckpt(f.store.get(), f.rw.get());
   ASSERT_TRUE(ckpt.CheckpointNow().ok());
   ASSERT_GT(ckpt.epoch(), 0u);
@@ -325,11 +326,16 @@ TEST(RecoveryCheckpointTest, CrashAfterTruncationAdvanceStillRecovers) {
   for (int i = 0; i < 400; ++i) {
     ASSERT_TRUE(rw->Put(Key(i), "pre-truncate").ok());
   }
-  CheckpointerOptions copts2;
-  copts2.truncate_wal = true;
-  Checkpointer ckpt(store.get(), rw.get(), copts2);
+  Checkpointer ckpt(store.get(), rw.get());
   ASSERT_TRUE(ckpt.CheckpointNow().ok());
-  EXPECT_GT(ckpt.stats().wal_extents_truncated.Get(), 0u)
+  // Reclaim the covered prefix through the store, up to the published
+  // manifest's WAL cursor (the bound Bg3Cluster::TruncateWal also honors).
+  auto published =
+      LoadCheckpoint(store.get(), WalCheckpointScope(opts.wal.stream));
+  ASSERT_TRUE(published.ok());
+  const cloud::PagePointer cursor = published.value().manifest.wal_cursor.ptr;
+  ASSERT_FALSE(cursor.IsNull());
+  EXPECT_GT(store->TruncateStreamBefore(opts.wal.stream, cursor.extent_id), 0u)
       << "test must actually exercise a truncated prefix";
   for (int i = 400; i < 450; ++i) {
     ASSERT_TRUE(rw->Put(Key(i), "suffix").ok());

@@ -257,32 +257,50 @@ INSTANTIATE_TEST_SUITE_P(AllBoundaries, CrashPointScheduleTest,
                            return FaultOpName(i.param);
                          });
 
+core::GraphDBOptions CheckpointedDbOptions() {
+  core::GraphDBOptions opts;
+  opts.checkpointing = true;
+  opts.checkpointer.max_pages_per_round = 8;
+  return opts;
+}
+
+/// Begins a cut on `ckpt`, injects an append fault into its first flush
+/// round, then heals: the fault must keep the cut open (counted in
+/// step_errors) without publishing a manifest, and the retry must publish
+/// epoch 1 from the same cut.
+void FaultMidRoundThenPublish(cloud::CloudStore* store, Checkpointer* ckpt) {
+  ASSERT_TRUE(ckpt->Step().ok());  // begin the cut
+  ASSERT_TRUE(ckpt->CutInProgress());
+
+  cloud::FaultInjector fi;
+  store->SetFaultInjector(&fi);
+  fi.ArmNext(cloud::FaultOp::kAppend, cloud::FaultClass::kTransientError);
+  EXPECT_FALSE(ckpt->Step().ok()) << "un-retried flush must surface the fault";
+  EXPECT_TRUE(ckpt->CutInProgress()) << "a failed step abandons the increment, "
+                                        "not the cut";
+  EXPECT_GT(ckpt->stats().step_errors.Get(), 0u);
+  EXPECT_EQ(ckpt->epoch(), 0u) << "no manifest may publish from a torn cut";
+
+  // Substrate heals: the same cut drains and publishes.
+  store->SetFaultInjector(nullptr);
+  ASSERT_TRUE(ckpt->CheckpointNow().ok());
+  EXPECT_EQ(ckpt->epoch(), 1u);
+}
+
 TEST(CrashPointScheduleTest, MidCheckpointFaultKeepsCutOpenThenPublishes) {
+  // Source 1: an RW node (wal<stream> scope).
   RestartFixture f;
   f.opts.node.tree.retry.max_attempts = 1;  // faults hit, not absorbed
   f.rw = std::make_unique<RwNode>(f.store.get(), f.opts.node);
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(f.rw->Put(Key(i), "v").ok());
   }
-  CheckpointerOptions copts;
-  copts.max_pages_per_round = 2;
-  Checkpointer ckpt(f.store.get(), f.rw.get(), copts);
-  ASSERT_TRUE(ckpt.Step().ok());  // begin the cut
-  ASSERT_TRUE(ckpt.CutInProgress());
-
-  cloud::FaultInjector fi;
-  f.store->SetFaultInjector(&fi);
-  fi.ArmNext(cloud::FaultOp::kAppend, cloud::FaultClass::kTransientError);
-  EXPECT_FALSE(ckpt.Step().ok()) << "un-retried flush must surface the fault";
-  EXPECT_TRUE(ckpt.CutInProgress()) << "a failed step abandons the increment, "
-                                       "not the cut";
-  EXPECT_GT(ckpt.stats().step_errors.Get(), 0u);
-  EXPECT_EQ(ckpt.epoch(), 0u) << "no manifest may publish from a torn cut";
-
-  // Substrate heals: the same cut drains and publishes.
-  f.store->SetFaultInjector(nullptr);
-  ASSERT_TRUE(ckpt.CheckpointNow().ok());
-  EXPECT_EQ(ckpt.epoch(), 1u);
+  {
+    CheckpointerOptions copts;
+    copts.max_pages_per_round = 2;
+    Checkpointer ckpt(f.store.get(), f.rw.get(), copts);
+    FaultMidRoundThenPublish(f.store.get(), &ckpt);
+  }
 
   // And the checkpoint it eventually published is a valid recovery source.
   f.Crash();
@@ -292,16 +310,35 @@ TEST(CrashPointScheduleTest, MidCheckpointFaultKeepsCutOpenThenPublishes) {
   for (int i = 0; i < 200; ++i) {
     ASSERT_EQ(restart.Get(Key(i)).value(), "v") << i;
   }
+
+  // Source 2: a GraphDB ("db" scope, every forest tree plus the vertex
+  // tree). The cut drains forest trees first, so the faulted round flushes
+  // pages whose retry budget is one attempt.
+  auto store = std::make_unique<cloud::CloudStore>();
+  core::GraphDBOptions opts = CheckpointedDbOptions();
+  opts.checkpointer.max_pages_per_round = 2;
+  opts.forest.tree_options.retry.max_attempts = 1;
+  {
+    core::GraphDB db(store.get(), opts);
+    for (int e = 0; e < 300; ++e) {
+      ASSERT_TRUE(db.AddEdge(e % 7, 1, 100 + e, "edge", e).ok());
+    }
+    for (int v = 0; v < 50; ++v) {
+      ASSERT_TRUE(db.AddVertex(v, "props-" + std::to_string(v)).ok());
+    }
+    FaultMidRoundThenPublish(store.get(), db.checkpointer());
+  }  // "crash"
+  core::GraphDB db(store.get(), opts);
+  EXPECT_TRUE(db.RestoredFromCheckpoint());
+  for (int e = 0; e < 300; ++e) {
+    ASSERT_EQ(db.GetEdge(e % 7, 1, 100 + e).value(), "edge") << e;
+  }
+  for (int v = 0; v < 50; ++v) {
+    ASSERT_EQ(db.GetVertex(v).value(), "props-" + std::to_string(v)) << v;
+  }
 }
 
 // --- GraphDB db-scope checkpoint/restore -------------------------------------
-
-core::GraphDBOptions CheckpointedDbOptions() {
-  core::GraphDBOptions opts;
-  opts.checkpoint.enabled = true;
-  opts.checkpoint.max_pages_per_cycle = 8;
-  return opts;
-}
 
 TEST(GraphDbCheckpointTest, CheckpointThenRestoreServesGraph) {
   auto store = std::make_unique<cloud::CloudStore>();
@@ -313,10 +350,10 @@ TEST(GraphDbCheckpointTest, CheckpointThenRestoreServesGraph) {
     for (int e = 0; e < 200; ++e) {
       ASSERT_TRUE(db.AddEdge(e % 10, 1, 100 + e, "edge", e).ok());
     }
-    ASSERT_TRUE(db.CheckpointNow().ok());
-    EXPECT_GE(db.checkpoint_epoch(), 1u);
-    EXPECT_GT(db.checkpoint_pages_flushed(), 0u);
-    EXPECT_GT(db.checkpoint_manifests_written(), 0u);
+    ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
+    EXPECT_GE(db.checkpointer()->epoch(), 1u);
+    EXPECT_GT(db.checkpointer()->stats().pages_flushed.Get(), 0u);
+    EXPECT_GT(db.checkpointer()->stats().manifests_written.Get(), 0u);
   }  // "crash": all volatile state gone
 
   core::GraphDB db(store.get(), CheckpointedDbOptions());
@@ -339,9 +376,35 @@ TEST(GraphDbCheckpointTest, CheckpointThenRestoreServesGraph) {
 
   // The restored instance checkpoints onward from the restored epoch.
   ASSERT_TRUE(db.AddVertex(999, "after-restore").ok());
-  const uint64_t epoch = db.checkpoint_epoch();
-  ASSERT_TRUE(db.CheckpointNow().ok());
-  EXPECT_GT(db.checkpoint_epoch(), epoch);
+  const uint64_t epoch = db.checkpointer()->epoch();
+  ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
+  EXPECT_GT(db.checkpointer()->epoch(), epoch);
+}
+
+TEST(GraphDbCheckpointTest, CheckpointNowWithNothingNewIsANoOp) {
+  auto store = std::make_unique<cloud::CloudStore>();
+  {
+    core::GraphDB db(store.get(), CheckpointedDbOptions());
+    for (int e = 0; e < 50; ++e) {
+      ASSERT_TRUE(db.AddEdge(1, 1, 100 + e, "edge", e).ok());
+    }
+    ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
+    ASSERT_EQ(db.checkpointer()->epoch(), 1u);
+    ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
+    EXPECT_EQ(db.checkpointer()->epoch(), 1u) << "nothing new, no new epoch";
+    // One write to the vertex tree alone must still begin a cut: every
+    // tree draws from one LSN source.
+    ASSERT_TRUE(db.AddVertex(7, "late").ok());
+    ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
+    EXPECT_EQ(db.checkpointer()->epoch(), 2u);
+    EXPECT_EQ(db.checkpointer()->stats().manifests_written.Get(), 2u);
+  }
+  // A restored instance has nothing new until it is written to.
+  core::GraphDB db(store.get(), CheckpointedDbOptions());
+  ASSERT_TRUE(db.RestoredFromCheckpoint());
+  ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
+  EXPECT_EQ(db.checkpointer()->epoch(), 2u);
+  EXPECT_EQ(db.GetVertex(7).value(), "late");
 }
 
 TEST(GraphDbCheckpointTest, WritesPastCheckpointAreNotDurableWithoutWal) {
@@ -351,7 +414,7 @@ TEST(GraphDbCheckpointTest, WritesPastCheckpointAreNotDurableWithoutWal) {
   {
     core::GraphDB db(store.get(), CheckpointedDbOptions());
     ASSERT_TRUE(db.AddVertex(1, "durable").ok());
-    ASSERT_TRUE(db.CheckpointNow().ok());
+    ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
     ASSERT_TRUE(db.AddVertex(2, "volatile").ok());  // never checkpointed
   }
   core::GraphDB db(store.get(), CheckpointedDbOptions());
@@ -366,10 +429,10 @@ TEST(GraphDbCheckpointTest, TornHeadSlotFallsBackToPreviousEpoch) {
   {
     core::GraphDB db(store.get(), CheckpointedDbOptions());
     ASSERT_TRUE(db.AddVertex(1, "epoch1").ok());
-    ASSERT_TRUE(db.CheckpointNow().ok());
+    ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
     ASSERT_TRUE(db.AddVertex(2, "epoch2").ok());
-    ASSERT_TRUE(db.CheckpointNow().ok());
-    epoch2 = db.checkpoint_epoch();
+    ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
+    epoch2 = db.checkpointer()->epoch();
   }
   // Tear the newest manifest slot: restore must fall back one epoch.
   store->ManifestPut(CheckpointSlotKey(core::GraphDB::kCheckpointScope, epoch2),
@@ -385,7 +448,7 @@ TEST(GraphDbCheckpointTest, BothSlotsTornComesUpFresh) {
   {
     core::GraphDB db(store.get(), CheckpointedDbOptions());
     ASSERT_TRUE(db.AddVertex(1, "x").ok());
-    ASSERT_TRUE(db.CheckpointNow().ok());
+    ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
   }
   store->ManifestPut(CheckpointSlotKey(core::GraphDB::kCheckpointScope, 0),
                      "torn");
@@ -401,19 +464,20 @@ TEST(GraphDbCheckpointTest, BothSlotsTornComesUpFresh) {
 TEST(GraphDbCheckpointTest, BackgroundThreadCheckpointsContinuously) {
   auto store = std::make_unique<cloud::CloudStore>();
   core::GraphDBOptions opts = CheckpointedDbOptions();
-  opts.checkpoint.interval_ms = 1;
+  opts.checkpointer.interval_ms = 1;
   core::GraphDB db(store.get(), opts);
-  db.StartCheckpointing();
+  db.checkpointer()->Start();
   for (int v = 0; v < 300; ++v) {
     ASSERT_TRUE(db.AddVertex(v, "bg").ok());
   }
   // The decoupled thread must reach a durable manifest on its own.
-  for (int spin = 0; spin < 2000 && db.checkpoint_epoch() == 0; ++spin) {
+  for (int spin = 0; spin < 2000 && db.checkpointer()->epoch() == 0;
+       ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  db.StopCheckpointing();
-  EXPECT_GT(db.checkpoint_epoch(), 0u);
-  EXPECT_GT(db.checkpoint_manifests_written(), 0u);
+  db.checkpointer()->Stop();
+  EXPECT_GT(db.checkpointer()->epoch(), 0u);
+  EXPECT_GT(db.checkpointer()->stats().manifests_written.Get(), 0u);
 }
 
 // --- cluster wiring ----------------------------------------------------------
